@@ -1,11 +1,27 @@
-"""AES-128 block cipher, from scratch (FIPS-197).
+"""AES-128 block cipher, from scratch (FIPS-197), batched over NumPy.
 
 The paper's Section 5 analyzes AES modes of operation for compatibility
 with approximate storage; this module provides the underlying
 substitution-permutation network (the paper's ``subperm`` box) and its
-inverse. Implemented directly from the standard: SubBytes / ShiftRows /
-MixColumns / AddRoundKey over 10 rounds with on-the-fly computed tables,
-validated against the FIPS-197 appendix vectors in the test suite.
+inverse. The cipher runs on a whole batch of blocks at once: a message
+is an ``(N, 16)`` uint8 array, one row per block, and every round is a
+handful of table lookups and fixed column permutations over the whole
+array:
+
+* SubBytes is ``SBOX[state]``;
+* ShiftRows is a fixed permutation of the 16 columns;
+* MixColumns is ``MUL2[s] ^ MUL3[s[:, rot1]] ^ s[:, rot2] ^ s[:, rot3]``
+  with ``rot*`` rotating each 4-byte column by one, two or three rows;
+* AddRoundKey XORs one row of the ``(11, 16)`` key schedule, which is
+  expanded once per key and cached.
+
+:func:`encrypt_blocks` / :func:`decrypt_blocks` are the only round
+implementations. Counter-mode keystreams and the parallel decrypt
+directions of the block modes feed them every block of a message in one
+call; the serial chains (OFB, CBC/CFB encrypt) call them with ``N = 1``.
+The S-box and GF(2^8) tables are derived at import from the field
+arithmetic, and the test suite checks the core against the FIPS-197 and
+SP 800-38A vectors and against a retained block-at-a-time reference.
 
 This is an algorithmic reference implementation (it is not constant-time
 and must not be used to protect real secrets).
@@ -13,12 +29,14 @@ and must not be used to protect real secrets).
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+
+import numpy as np
 
 from ..errors import CryptoError
 
 BLOCK_SIZE = 16  #: bytes
-KEY_SIZE = 16    #: bytes (AES-128)
+KEY_SIZE = 16  #: bytes (AES-128)
 ROUNDS = 10
 
 
@@ -70,126 +88,112 @@ def _build_sbox() -> tuple:
     inv_sbox = [0] * 256
     for byte, mapped in enumerate(sbox):
         inv_sbox[mapped] = byte
-    return tuple(sbox), tuple(inv_sbox)
+    return np.array(sbox, dtype=np.uint8), np.array(inv_sbox, dtype=np.uint8)
 
 
-#: All cipher tables are module-level constants computed once at import
-#: (not per AES128 instantiation): the S-box pair above plus the GF(2^8)
-#: multiplication tables below for every MixColumns coefficient.
+def _mul_table(coefficient: int) -> np.ndarray:
+    """256-entry GF(2^8) multiplication table for one coefficient."""
+    products = [_gf_multiply(byte, coefficient) for byte in range(256)]
+    return np.array(products, dtype=np.uint8)
+
+
+#: All cipher tables are module-level constants computed once at import:
+#: the S-box pair plus one multiplication table per MixColumns
+#: coefficient (2, 3 forward; 9, 11, 13, 14 inverse).
 SBOX, INV_SBOX = _build_sbox()
+MUL2, MUL3 = _mul_table(2), _mul_table(3)
+MUL9, MUL11, MUL13, MUL14 = (_mul_table(c) for c in (9, 11, 13, 14))
 
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
-#: 256-entry multiplication tables for the MixColumns coefficients
-#: (2, 3 forward; 9, 11, 13, 14 inverse), replacing per-byte bit-serial
-#: GF multiplication on the block hot path.
-_MUL_TABLES = {
-    coefficient: tuple(_gf_multiply(byte, coefficient)
-                       for byte in range(256))
-    for coefficient in (1, 2, 3, 9, 11, 13, 14)
-}
+# State layout: column 4*c + r of a block row is row r, column c of the
+# AES state (column-major, the standard's byte order of inputs).
+_SHIFT_ROWS = np.array([4 * ((c + r) % 4) + r for c in range(4) for r in range(4)])
+_INV_SHIFT_ROWS = np.array([4 * ((c - r) % 4) + r for c in range(4) for r in range(4)])
+#: ``_ROTk`` maps each byte to the byte k rows further down its column.
+_ROT1, _ROT2, _ROT3 = (
+    np.array([4 * c + (r + k) % 4 for c in range(4) for r in range(4)])
+    for k in (1, 2, 3)
+)
 
 
-def expand_key(key: bytes) -> List[List[int]]:
-    """AES-128 key schedule: 11 round keys of 16 bytes each."""
-    if len(key) != KEY_SIZE:
-        raise CryptoError(f"AES-128 key must be {KEY_SIZE} bytes")
-    words = [list(key[4 * i:4 * i + 4]) for i in range(4)]
+@lru_cache(maxsize=256)
+def _expand_key_cached(key: bytes) -> np.ndarray:
+    words = [list(key[4 * i : 4 * i + 4]) for i in range(4)]
     for i in range(4, 4 * (ROUNDS + 1)):
         word = list(words[i - 1])
         if i % 4 == 0:
             word = word[1:] + word[:1]
-            word = [SBOX[b] for b in word]
+            word = [int(SBOX[b]) for b in word]
             word[0] ^= _RCON[i // 4 - 1]
         words.append([a ^ b for a, b in zip(word, words[i - 4])])
-    return [sum(words[4 * r:4 * r + 4], []) for r in range(ROUNDS + 1)]
+    schedule = np.array(words, dtype=np.uint8).reshape(ROUNDS + 1, BLOCK_SIZE)
+    schedule.flags.writeable = False
+    return schedule
 
 
-def _sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = SBOX[state[i]]
+def expand_key(key: bytes) -> np.ndarray:
+    """AES-128 key schedule: an ``(11, 16)`` uint8 array, one round key
+    per row. Expanded once per key (cached) and read-only."""
+    if len(key) != KEY_SIZE:
+        raise CryptoError(f"AES-128 key must be {KEY_SIZE} bytes")
+    return _expand_key_cached(bytes(key))
 
 
-def _inv_sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = INV_SBOX[state[i]]
+def _checked_blocks(blocks: np.ndarray) -> np.ndarray:
+    blocks = np.asarray(blocks, dtype=np.uint8)
+    if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE:
+        raise CryptoError(
+            f"blocks must be an (N, {BLOCK_SIZE}) uint8 array, got {blocks.shape}"
+        )
+    return blocks
 
 
-# State layout: state[4*c + r] is row r, column c (column-major, as in
-# the standard's byte ordering of inputs).
-
-_SHIFT_MAP = [4 * ((c + r) % 4) + r for c in range(4) for r in range(4)]
-_INV_SHIFT_MAP = [4 * ((c - r) % 4) + r for c in range(4) for r in range(4)]
-
-
-def _shift_rows(state: List[int]) -> List[int]:
-    return [state[i] for i in _SHIFT_MAP]
+def encrypt_blocks(round_keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Encrypt every row of an ``(N, 16)`` uint8 array (the cipher)."""
+    state = _checked_blocks(blocks) ^ round_keys[0]
+    for round_key in round_keys[1:ROUNDS]:
+        s = SBOX[state[:, _SHIFT_ROWS]]
+        state = MUL2[s] ^ MUL3[s[:, _ROT1]] ^ s[:, _ROT2] ^ s[:, _ROT3] ^ round_key
+    return SBOX[state[:, _SHIFT_ROWS]] ^ round_keys[ROUNDS]
 
 
-def _inv_shift_rows(state: List[int]) -> List[int]:
-    return [state[i] for i in _INV_SHIFT_MAP]
-
-
-def _mix_single_column(column: List[int], matrix: tuple) -> List[int]:
-    return [
-        _MUL_TABLES[matrix[r][0]][column[0]]
-        ^ _MUL_TABLES[matrix[r][1]][column[1]]
-        ^ _MUL_TABLES[matrix[r][2]][column[2]]
-        ^ _MUL_TABLES[matrix[r][3]][column[3]]
-        for r in range(4)
-    ]
-
-
-_MIX = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
-_INV_MIX = ((14, 11, 13, 9), (9, 14, 11, 13), (13, 9, 14, 11),
-            (11, 13, 9, 14))
-
-
-def _mix_columns(state: List[int], matrix: tuple) -> List[int]:
-    out = [0] * 16
-    for c in range(4):
-        column = state[4 * c:4 * c + 4]
-        out[4 * c:4 * c + 4] = _mix_single_column(column, matrix)
-    return out
-
-
-def _add_round_key(state: List[int], round_key: List[int]) -> None:
-    for i in range(16):
-        state[i] ^= round_key[i]
+def decrypt_blocks(round_keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Decrypt every row of an ``(N, 16)`` uint8 array (the inverse
+    cipher)."""
+    state = _checked_blocks(blocks) ^ round_keys[ROUNDS]
+    state = INV_SBOX[state[:, _INV_SHIFT_ROWS]]
+    for round_key in round_keys[1:ROUNDS][::-1]:
+        s = state ^ round_key
+        state = MUL14[s] ^ MUL11[s[:, _ROT1]] ^ MUL13[s[:, _ROT2]] ^ MUL9[s[:, _ROT3]]
+        state = INV_SBOX[state[:, _INV_SHIFT_ROWS]]
+    return state ^ round_keys[0]
 
 
 class AES128:
     """AES-128: the ``subperm`` / ``invsubperm`` boxes of the paper."""
 
     def __init__(self, key: bytes) -> None:
-        self._round_keys = expand_key(key)
+        self.round_keys = expand_key(key)
+
+    def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Batched encrypt (see :func:`encrypt_blocks`)."""
+        return encrypt_blocks(self.round_keys, blocks)
+
+    def decrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Batched decrypt (see :func:`decrypt_blocks`)."""
+        return decrypt_blocks(self.round_keys, blocks)
 
     def encrypt_block(self, plaintext: bytes) -> bytes:
-        if len(plaintext) != BLOCK_SIZE:
-            raise CryptoError(f"block must be {BLOCK_SIZE} bytes")
-        state = list(plaintext)
-        _add_round_key(state, self._round_keys[0])
-        for round_index in range(1, ROUNDS):
-            _sub_bytes(state)
-            state = _shift_rows(state)
-            state = _mix_columns(state, _MIX)
-            _add_round_key(state, self._round_keys[round_index])
-        _sub_bytes(state)
-        state = _shift_rows(state)
-        _add_round_key(state, self._round_keys[ROUNDS])
-        return bytes(state)
+        """Encrypt one 16-byte block (the core at ``N = 1``)."""
+        return self.encrypt_blocks(_one_block(plaintext)).tobytes()
 
     def decrypt_block(self, ciphertext: bytes) -> bytes:
-        if len(ciphertext) != BLOCK_SIZE:
-            raise CryptoError(f"block must be {BLOCK_SIZE} bytes")
-        state = list(ciphertext)
-        _add_round_key(state, self._round_keys[ROUNDS])
-        state = _inv_shift_rows(state)
-        _inv_sub_bytes(state)
-        for round_index in range(ROUNDS - 1, 0, -1):
-            _add_round_key(state, self._round_keys[round_index])
-            state = _mix_columns(state, _INV_MIX)
-            state = _inv_shift_rows(state)
-            _inv_sub_bytes(state)
-        _add_round_key(state, self._round_keys[0])
-        return bytes(state)
+        """Decrypt one 16-byte block (the core at ``N = 1``)."""
+        return self.decrypt_blocks(_one_block(ciphertext)).tobytes()
+
+
+def _one_block(data: bytes) -> np.ndarray:
+    if len(data) != BLOCK_SIZE:
+        raise CryptoError(f"block must be {BLOCK_SIZE} bytes")
+    return np.frombuffer(bytes(data), dtype=np.uint8).reshape(1, BLOCK_SIZE)

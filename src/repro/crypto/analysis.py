@@ -36,12 +36,12 @@ def _bit_difference(a: bytes, b: bytes) -> int:
     return int(np.unpackbits(arr_a ^ arr_b).sum())
 
 
+def _split_blocks(data: bytes) -> List[bytes]:
+    return [data[start:][:BLOCK_SIZE] for start in range(0, len(data), BLOCK_SIZE)]
+
+
 def _blocks_damaged(a: bytes, b: bytes) -> int:
-    count = 0
-    for offset in range(0, len(a), BLOCK_SIZE):
-        if a[offset:offset + BLOCK_SIZE] != b[offset:offset + BLOCK_SIZE]:
-            count += 1
-    return count
+    return sum(x != y for x, y in zip(_split_blocks(a), _split_blocks(b)))
 
 
 @dataclass
@@ -65,20 +65,20 @@ class ModeVerdict:
     """Requirements scorecard for one mode (the paper's Section 5.2)."""
 
     mode: str
-    privacy: bool                  #: requirement 1
-    bounded_propagation: bool      #: requirement 2
+    privacy: bool  #: requirement 1
+    bounded_propagation: bool  #: requirement 2
     approximation_transparent: bool  #: requirement 3
     propagation: PropagationMeasurement
 
     @property
     def compatible(self) -> bool:
         """Suitable for approximate video storage (all three hold)."""
-        return (self.privacy and self.bounded_propagation
-                and self.approximation_transparent)
+        return (
+            self.privacy and self.bounded_propagation and self.approximation_transparent
+        )
 
 
-def check_privacy(mode_name: str, key: bytes, iv: bytes,
-                  num_blocks: int = 64) -> bool:
+def check_privacy(mode_name: str, key: bytes, iv: bytes, num_blocks: int = 64) -> bool:
     """Requirement 1: identical plaintext blocks must encrypt differently.
 
     Encrypts a plaintext of repeated identical blocks and checks whether
@@ -88,21 +88,20 @@ def check_privacy(mode_name: str, key: bytes, iv: bytes,
     mode = make_mode(mode_name, key, iv)
     plaintext = bytes(range(BLOCK_SIZE)) * num_blocks
     ciphertext = mode.encrypt(plaintext)
-    blocks = {
-        ciphertext[offset:offset + BLOCK_SIZE]
-        for offset in range(0, len(ciphertext), BLOCK_SIZE)
-    }
-    return len(blocks) == num_blocks
+    return len(set(_split_blocks(ciphertext))) == num_blocks
 
 
-def measure_propagation(mode_name: str, key: bytes, iv: bytes,
-                        num_blocks: int = 32, trials: int = 48,
-                        rng: Optional[np.random.Generator] = None
-                        ) -> PropagationMeasurement:
+def measure_propagation(
+    mode_name: str,
+    key: bytes,
+    iv: bytes,
+    num_blocks: int = 32,
+    trials: int = 48,
+    rng: Optional[np.random.Generator] = None,
+) -> PropagationMeasurement:
     """Flip single ciphertext bits; measure decrypted plaintext damage."""
     rng = rng or np.random.default_rng(7)
-    plaintext = rng.integers(0, 256, num_blocks * BLOCK_SIZE,
-                             dtype=np.uint8).tobytes()
+    plaintext = rng.integers(0, 256, num_blocks * BLOCK_SIZE, dtype=np.uint8).tobytes()
     mode = make_mode(mode_name, key, iv)
     ciphertext = mode.encrypt(plaintext)
     reference = make_mode(mode_name, key, iv).decrypt(ciphertext)
@@ -116,10 +115,8 @@ def measure_propagation(mode_name: str, key: bytes, iv: bytes,
         decrypted = make_mode(mode_name, key, iv).decrypt(bytes(corrupted))
         bit_damages.append(_bit_difference(reference, decrypted))
         block_damages.append(_blocks_damaged(reference, decrypted))
-        flipped_block = int(position) // (8 * BLOCK_SIZE)
-        suffix = _blocks_damaged(reference[(flipped_block + 1) * BLOCK_SIZE:],
-                                 decrypted[(flipped_block + 1) * BLOCK_SIZE:])
-        suffix_damages.append(suffix)
+        after = (int(position) // (8 * BLOCK_SIZE) + 1) * BLOCK_SIZE
+        suffix_damages.append(_blocks_damaged(reference[after:], decrypted[after:]))
     return PropagationMeasurement(
         mode=mode_name,
         mean_plaintext_bits_damaged=float(np.mean(bit_damages)),
@@ -134,9 +131,12 @@ def measure_propagation(mode_name: str, key: bytes, iv: bytes,
 AMPLIFICATION_LIMIT = 2.0
 
 
-def analyze_mode(mode_name: str, key: Optional[bytes] = None,
-                 iv: Optional[bytes] = None,
-                 rng: Optional[np.random.Generator] = None) -> ModeVerdict:
+def analyze_mode(
+    mode_name: str,
+    key: Optional[bytes] = None,
+    iv: Optional[bytes] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> ModeVerdict:
     """Full scorecard for one mode."""
     key = key or bytes(range(16))
     iv = iv if iv is not None else bytes(range(100, 116))
@@ -153,15 +153,15 @@ def analyze_mode(mode_name: str, key: Optional[bytes] = None,
     )
 
 
-def analyze_all_modes(key: Optional[bytes] = None,
-                      iv: Optional[bytes] = None,
-                      rng: Optional[np.random.Generator] = None
-                      ) -> Dict[str, ModeVerdict]:
+def analyze_all_modes(
+    key: Optional[bytes] = None,
+    iv: Optional[bytes] = None,
+    rng: Optional[np.random.Generator] = None,
+) -> Dict[str, ModeVerdict]:
     """Scorecards for ECB, CBC, OFB, CTR — the paper's Figure 7 set."""
     return {name: analyze_mode(name, key, iv, rng) for name in MODES}
 
 
 def compatible_modes() -> List[str]:
     """Modes meeting all three requirements (the paper's answer: OFB, CTR)."""
-    return [name for name, verdict in analyze_all_modes().items()
-            if verdict.compatible]
+    return [name for name, verdict in analyze_all_modes().items() if verdict.compatible]

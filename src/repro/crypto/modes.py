@@ -14,12 +14,18 @@ from __future__ import annotations
 import abc
 from typing import Dict, Type
 
+import numpy as np
+
 from ..errors import CryptoError
 from .aes import AES128, BLOCK_SIZE
 
+_MASK64 = (1 << 64) - 1
 
-def _xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+
+def _xor_bytes(data: bytes, keystream: np.ndarray) -> bytes:
+    """``data`` XOR the first ``len(data)`` bytes of a flat uint8 keystream."""
+    size = len(data)
+    return (np.frombuffer(data, dtype=np.uint8) ^ keystream[:size]).tobytes()
 
 
 def _pad(data: bytes) -> bytes:
@@ -27,6 +33,29 @@ def _pad(data: bytes) -> bytes:
     if remainder == 0:
         return data
     return data + b"\x00" * (BLOCK_SIZE - remainder)
+
+
+def _as_blocks(data: bytes) -> np.ndarray:
+    """View block-aligned bytes as an ``(N, 16)`` uint8 array."""
+    return np.frombuffer(data, dtype=np.uint8).reshape(-1, BLOCK_SIZE)
+
+
+def counter_blocks(iv: bytes, first_block: int, count: int) -> np.ndarray:
+    """The CTR counter blocks ``iv + first_block ... iv + first_block +
+    count - 1`` as a ``(count, 16)`` uint8 array.
+
+    The IV is one 128-bit big-endian integer: the add carries from the
+    low 64-bit half into the high half, and the counter wraps mod
+    2^128.
+    """
+    start = (int.from_bytes(iv, "big") + first_block) % (1 << 128)
+    low0 = np.uint64(start & _MASK64)
+    steps = np.arange(count, dtype=np.uint64)
+    low = low0 + steps  # wraps mod 2^64
+    counters = np.empty((count, 2), dtype=">u8")
+    counters[:, 0] = np.uint64(start >> 64) + (low < low0)
+    counters[:, 1] = low
+    return counters.view(np.uint8).reshape(count, BLOCK_SIZE)
 
 
 class BlockMode(abc.ABC):
@@ -37,20 +66,17 @@ class BlockMode(abc.ABC):
 
     def __init__(self, key: bytes, iv: bytes = b"") -> None:
         self.cipher = AES128(key)
-        if self.needs_iv:
-            if len(iv) != BLOCK_SIZE:
-                raise CryptoError(
-                    f"{type(self).__name__} needs a {BLOCK_SIZE}-byte IV"
-                )
+        if self.needs_iv and len(iv) != BLOCK_SIZE:
+            raise CryptoError(f"{type(self).__name__} needs a {BLOCK_SIZE}-byte IV")
         self.iv = iv
 
     @abc.abstractmethod
     def encrypt(self, plaintext: bytes) -> bytes:
-        ...
+        """Encrypt a whole message."""
 
     @abc.abstractmethod
     def decrypt(self, ciphertext: bytes) -> bytes:
-        ...
+        """Decrypt a whole message."""
 
     def decrypt_range(self, ciphertext: bytes, byte_offset: int) -> bytes:
         """Decrypt a slice that starts ``byte_offset`` bytes into the
@@ -62,8 +88,14 @@ class BlockMode(abc.ABC):
         neighbours.
         """
         raise CryptoError(
-            f"{type(self).__name__} does not support random-access "
-            f"decryption")
+            f"{type(self).__name__} does not support random-access decryption"
+        )
+
+    def _previous_blocks(self, ciphertext: bytes) -> np.ndarray:
+        """IV followed by every ciphertext block but the last: the
+        chaining input of each block, known up front on decrypt."""
+        blocks = _as_blocks(ciphertext)
+        return np.concatenate([_as_blocks(self.iv), blocks[:-1]])
 
 
 class ECB(BlockMode):
@@ -76,20 +108,12 @@ class ECB(BlockMode):
     needs_iv = False
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        padded = _pad(plaintext)
-        out = bytearray()
-        for offset in range(0, len(padded), BLOCK_SIZE):
-            out += self.cipher.encrypt_block(padded[offset:offset + BLOCK_SIZE])
-        return bytes(out)
+        return self.cipher.encrypt_blocks(_as_blocks(_pad(plaintext))).tobytes()
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         if len(ciphertext) % BLOCK_SIZE:
             raise CryptoError("ECB ciphertext must be block-aligned")
-        out = bytearray()
-        for offset in range(0, len(ciphertext), BLOCK_SIZE):
-            out += self.cipher.decrypt_block(
-                ciphertext[offset:offset + BLOCK_SIZE])
-        return bytes(out)
+        return self.cipher.decrypt_blocks(_as_blocks(ciphertext)).tobytes()
 
 
 class CBC(BlockMode):
@@ -101,25 +125,21 @@ class CBC(BlockMode):
     """
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        padded = _pad(plaintext)
-        previous = self.iv
-        out = bytearray()
-        for offset in range(0, len(padded), BLOCK_SIZE):
-            block = _xor_bytes(padded[offset:offset + BLOCK_SIZE], previous)
-            previous = self.cipher.encrypt_block(block)
-            out += previous
-        return bytes(out)
+        blocks = _as_blocks(_pad(plaintext))
+        out = np.empty_like(blocks)
+        previous = _as_blocks(self.iv)
+        for index, block in enumerate(blocks):
+            previous = self.cipher.encrypt_blocks(block ^ previous)
+            out[index] = previous[0]
+        return out.tobytes()
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         if len(ciphertext) % BLOCK_SIZE:
             raise CryptoError("CBC ciphertext must be block-aligned")
-        previous = self.iv
-        out = bytearray()
-        for offset in range(0, len(ciphertext), BLOCK_SIZE):
-            block = ciphertext[offset:offset + BLOCK_SIZE]
-            out += _xor_bytes(self.cipher.decrypt_block(block), previous)
-            previous = block
-        return bytes(out)
+        if not ciphertext:
+            return b""
+        plain = self.cipher.decrypt_blocks(_as_blocks(ciphertext))
+        return (plain ^ self._previous_blocks(ciphertext)).tobytes()
 
 
 class CFB(BlockMode):
@@ -134,28 +154,21 @@ class CFB(BlockMode):
     """
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        padded = _pad(plaintext)
-        feedback = self.iv
-        out = bytearray()
-        for offset in range(0, len(padded), BLOCK_SIZE):
-            keystream = self.cipher.encrypt_block(feedback)
-            block = _xor_bytes(padded[offset:offset + BLOCK_SIZE],
-                               keystream)
-            out += block
-            feedback = block
-        return bytes(out)
+        blocks = _as_blocks(_pad(plaintext))
+        out = np.empty_like(blocks)
+        feedback = _as_blocks(self.iv)
+        for index, block in enumerate(blocks):
+            feedback = self.cipher.encrypt_blocks(feedback) ^ block
+            out[index] = feedback[0]
+        return out.tobytes()
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         if len(ciphertext) % BLOCK_SIZE:
             raise CryptoError("CFB ciphertext must be block-aligned")
-        feedback = self.iv
-        out = bytearray()
-        for offset in range(0, len(ciphertext), BLOCK_SIZE):
-            keystream = self.cipher.encrypt_block(feedback)
-            block = ciphertext[offset:offset + BLOCK_SIZE]
-            out += _xor_bytes(block, keystream)
-            feedback = block
-        return bytes(out)
+        if not ciphertext:
+            return b""
+        keystream = self.cipher.encrypt_blocks(self._previous_blocks(ciphertext))
+        return (keystream ^ _as_blocks(ciphertext)).tobytes()
 
 
 class OFB(BlockMode):
@@ -165,13 +178,14 @@ class OFB(BlockMode):
     exactly that plaintext bit — approximate-storage compatible.
     """
 
-    def _keystream(self, length: int) -> bytes:
-        stream = bytearray()
-        feedback = self.iv
-        while len(stream) < length:
-            feedback = self.cipher.encrypt_block(feedback)
-            stream += feedback
-        return bytes(stream[:length])
+    def _keystream(self, length: int) -> np.ndarray:
+        count = -(-length // BLOCK_SIZE)
+        stream = np.empty((count, BLOCK_SIZE), dtype=np.uint8)
+        feedback = _as_blocks(self.iv)
+        for index in range(count):
+            feedback = self.cipher.encrypt_blocks(feedback)
+            stream[index] = feedback[0]
+        return stream.reshape(-1)
 
     def encrypt(self, plaintext: bytes) -> bytes:
         return _xor_bytes(plaintext, self._keystream(len(plaintext)))
@@ -193,37 +207,30 @@ class CTR(BlockMode):
     """Counter mode: keystream from encrypting nonce+counter.
 
     Same approximate-storage compatibility as OFB, plus random access.
+    Every counter block of a message is known up front, so the whole
+    keystream is one batched cipher call.
     """
 
-    def _keystream(self, length: int) -> bytes:
-        stream = bytearray()
-        counter = int.from_bytes(self.iv, "big")
-        while len(stream) < length:
-            stream += self.cipher.encrypt_block(
-                counter.to_bytes(BLOCK_SIZE, "big"))
-            counter = (counter + 1) % (1 << (8 * BLOCK_SIZE))
-        return bytes(stream[:length])
+    def keystream(self, byte_offset: int, length: int) -> np.ndarray:
+        """``length`` keystream bytes starting ``byte_offset`` bytes
+        into the message, as a flat uint8 array."""
+        skip_blocks, phase = divmod(byte_offset, BLOCK_SIZE)
+        count = -(-(phase + length) // BLOCK_SIZE)
+        stream = self.cipher.encrypt_blocks(counter_blocks(self.iv, skip_blocks, count))
+        return stream.reshape(-1)[phase:][:length]
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        return _xor_bytes(plaintext, self._keystream(len(plaintext)))
+        return _xor_bytes(plaintext, self.keystream(0, len(plaintext)))
 
     def decrypt(self, ciphertext: bytes) -> bytes:
-        return _xor_bytes(ciphertext, self._keystream(len(ciphertext)))
+        return _xor_bytes(ciphertext, self.keystream(0, len(ciphertext)))
 
     def decrypt_range(self, ciphertext: bytes, byte_offset: int) -> bytes:
         """CTR random access: jump the counter to the slice's block and
         phase into it — ``O(len(ciphertext))`` regardless of offset."""
         if byte_offset < 0:
             raise CryptoError(f"negative byte offset {byte_offset}")
-        skip_blocks, phase = divmod(byte_offset, BLOCK_SIZE)
-        counter = (int.from_bytes(self.iv, "big")
-                   + skip_blocks) % (1 << (8 * BLOCK_SIZE))
-        stream = bytearray()
-        while len(stream) < phase + len(ciphertext):
-            stream += self.cipher.encrypt_block(
-                counter.to_bytes(BLOCK_SIZE, "big"))
-            counter = (counter + 1) % (1 << (8 * BLOCK_SIZE))
-        return _xor_bytes(ciphertext, bytes(stream[phase:]))
+        return _xor_bytes(ciphertext, self.keystream(byte_offset, len(ciphertext)))
 
 
 #: Mode registry by canonical name.
@@ -240,9 +247,7 @@ def make_mode(name: str, key: bytes, iv: bytes = b"") -> BlockMode:
     try:
         mode_class = MODES[name.upper()]
     except KeyError:
-        raise CryptoError(
-            f"unknown mode {name!r}; known: {sorted(MODES)}"
-        ) from None
+        raise CryptoError(f"unknown mode {name!r}; known: {sorted(MODES)}") from None
     if mode_class.needs_iv:
         return mode_class(key, iv)
     return mode_class(key)

@@ -15,33 +15,50 @@ partitioned streams, and decryption happens before merging and decoding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import CryptoError
 from ..obs import trace as obs_trace
 from .aes import AES128, BLOCK_SIZE
-from .modes import make_mode
+from .modes import OFB, _xor_bytes, counter_blocks
 
 #: Modes acceptable for stream encryption (requirements 1-3).
 APPROVED_MODES = ("OFB", "CTR")
+
+
+def _stream_ivs(
+    cipher: AES128, master_iv: bytes, stream_ids: Sequence[int]
+) -> np.ndarray:
+    """Every stream's IV as one ``(S, 16)`` batch:
+    ``E_k(master_iv XOR stream_id)``, one cipher call."""
+    mixed = np.empty((len(stream_ids), BLOCK_SIZE), dtype=np.uint8)
+    for row, stream_id in enumerate(stream_ids):
+        if stream_id < 0:
+            raise CryptoError(f"stream id must be non-negative, got {stream_id}")
+        identifier = stream_id.to_bytes(BLOCK_SIZE, "big")
+        mixed[row] = np.frombuffer(identifier, dtype=np.uint8)
+    mixed ^= np.frombuffer(master_iv, dtype=np.uint8)
+    return cipher.encrypt_blocks(mixed)
 
 
 def derive_stream_iv(master_iv: bytes, stream_id: int, key: bytes) -> bytes:
     """Per-stream IV: encrypt (master_iv XOR stream_id) under the key."""
     if len(master_iv) != BLOCK_SIZE:
         raise CryptoError(f"master IV must be {BLOCK_SIZE} bytes")
-    if stream_id < 0:
-        raise CryptoError(f"stream id must be non-negative, got {stream_id}")
-    mixed = bytearray(master_iv)
-    identifier = stream_id.to_bytes(BLOCK_SIZE, "big")
-    for index in range(BLOCK_SIZE):
-        mixed[index] ^= identifier[index]
-    return AES128(key).encrypt_block(bytes(mixed))
+    return _stream_ivs(AES128(key), master_iv, [stream_id])[0].tobytes()
 
 
 @dataclass
 class StreamEncryptor:
-    """Encrypts/decrypts a set of reliability streams under one secret."""
+    """Encrypts/decrypts a set of reliability streams under one secret.
+
+    Each call makes two batched cipher calls in CTR mode: one derives
+    every stream IV of the call, one produces the keystream for every
+    stream's counter blocks at once. OFB's feedback chain is serial, so
+    it walks each stream block by block.
+    """
 
     key: bytes
     master_iv: bytes
@@ -58,31 +75,50 @@ class StreamEncryptor:
             raise CryptoError(f"key must be {BLOCK_SIZE} bytes")
         if len(self.master_iv) != BLOCK_SIZE:
             raise CryptoError(f"master IV must be {BLOCK_SIZE} bytes")
+        self._cipher = AES128(self.key)
 
-    def _mode_for(self, stream_id: int):
-        iv = derive_stream_iv(self.master_iv, stream_id, self.key)
-        return make_mode(self.mode, self.key, iv)
+    def _xor_windows(self, windows: List[Tuple[int, bytes, int]]) -> List[bytes]:
+        """XOR each ``(stream_id, data, byte_offset)`` window with its
+        stream's keystream from ``byte_offset`` on (encrypt, decrypt and
+        random-access decrypt are all this one operation)."""
+        if not windows:
+            return []
+        stream_ids = [stream_id for stream_id, _, _ in windows]
+        ivs = _stream_ivs(self._cipher, self.master_iv, stream_ids)
+        if self.mode == "OFB":
+            return [
+                OFB(self.key, iv.tobytes()).decrypt_range(data, offset)
+                for iv, (_, data, offset) in zip(ivs, windows)
+            ]
+        counters = []
+        for iv, (_, data, offset) in zip(ivs, windows):
+            skip_blocks, phase = divmod(offset, BLOCK_SIZE)
+            count = -(-(phase + len(data)) // BLOCK_SIZE)
+            counters.append(counter_blocks(iv.tobytes(), skip_blocks, count))
+        stream = self._cipher.encrypt_blocks(np.concatenate(counters)).reshape(-1)
+        out = []
+        start = 0
+        for run, (_, data, offset) in zip(counters, windows):
+            begin = start + offset % BLOCK_SIZE
+            out.append(_xor_bytes(data, stream[begin:]))
+            start += run.size
+        return out
+
+    def _xor_streams(self, streams: Dict[int, bytes]) -> Dict[int, bytes]:
+        windows = [(stream_id, data, 0) for stream_id, data in streams.items()]
+        return dict(zip(streams, self._xor_windows(windows)))
 
     def encrypt_streams(self, streams: Dict[int, bytes]) -> Dict[int, bytes]:
         """Encrypt each stream under its derived IV (sizes preserved)."""
-        with obs_trace.span("aes.encrypt", mode=self.mode,
-                            streams=len(streams)):
-            return {
-                stream_id: self._mode_for(stream_id).encrypt(data)
-                for stream_id, data in streams.items()
-            }
+        with obs_trace.span("aes.encrypt", mode=self.mode, streams=len(streams)):
+            return self._xor_streams(streams)
 
     def decrypt_streams(self, streams: Dict[int, bytes]) -> Dict[int, bytes]:
         """Decrypt each stream under its derived IV."""
-        with obs_trace.span("aes.decrypt", mode=self.mode,
-                            streams=len(streams)):
-            return {
-                stream_id: self._mode_for(stream_id).decrypt(data)
-                for stream_id, data in streams.items()
-            }
+        with obs_trace.span("aes.decrypt", mode=self.mode, streams=len(streams)):
+            return self._xor_streams(streams)
 
-    def decrypt_at(self, stream_id: int, data: bytes,
-                   byte_offset: int) -> bytes:
+    def decrypt_at(self, stream_id: int, data: bytes, byte_offset: int) -> bytes:
         """Decrypt a slice of stream ``stream_id`` that begins
         ``byte_offset`` bytes into the ciphertext.
 
@@ -92,21 +128,21 @@ class StreamEncryptor:
         ``O(offset)`` keystream walk — see
         :meth:`~repro.crypto.modes.OFB.decrypt_range`).
         """
-        with obs_trace.span("aes.decrypt_at", mode=self.mode,
-                            offset=byte_offset, size=len(data)):
-            return self._mode_for(stream_id).decrypt_range(
-                data, byte_offset)
+        if byte_offset < 0:
+            raise CryptoError(f"negative byte offset {byte_offset}")
+        with obs_trace.span(
+            "aes.decrypt_at",
+            mode=self.mode,
+            stream=stream_id,
+            offset=byte_offset,
+            size=len(data),
+        ):
+            return self._xor_windows([(stream_id, data, byte_offset)])[0]
 
     def encrypt_list(self, payloads: List[bytes]) -> List[bytes]:
         """Encrypt an ordered payload list (ids are list positions)."""
-        with obs_trace.span("aes.encrypt", mode=self.mode,
-                            streams=len(payloads)):
-            return [self._mode_for(index).encrypt(data)
-                    for index, data in enumerate(payloads)]
+        return list(self.encrypt_streams(dict(enumerate(payloads))).values())
 
     def decrypt_list(self, payloads: List[bytes]) -> List[bytes]:
         """Decrypt an ordered payload list (ids are list positions)."""
-        with obs_trace.span("aes.decrypt", mode=self.mode,
-                            streams=len(payloads)):
-            return [self._mode_for(index).decrypt(data)
-                    for index, data in enumerate(payloads)]
+        return list(self.decrypt_streams(dict(enumerate(payloads))).values())

@@ -1,10 +1,12 @@
 """Tests for the AES-128 implementation (FIPS-197)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_aes as ref
 from repro.crypto import AES128, expand_key
-from repro.crypto.aes import INV_SBOX, SBOX
+from repro.crypto.aes import INV_SBOX, SBOX, decrypt_blocks, encrypt_blocks
 from repro.errors import CryptoError
 
 
@@ -34,6 +36,19 @@ class TestKeyExpansion:
     def test_rejects_wrong_key_size(self):
         with pytest.raises(CryptoError):
             expand_key(b"short")
+
+    @given(key=st.binary(min_size=16, max_size=16))
+    @settings(max_examples=25, deadline=None)
+    def test_schedule_matches_reference(self, key):
+        schedule = expand_key(key)
+        assert schedule.shape == (11, 16)
+        assert schedule.tolist() == ref.expand_key(key)
+
+    def test_schedule_is_shared_and_read_only(self):
+        key = bytes(range(16))
+        assert expand_key(key) is expand_key(bytearray(key))
+        with pytest.raises(ValueError):
+            expand_key(key)[0, 0] = 1
 
 
 class TestBlockCipher:
@@ -75,3 +90,29 @@ class TestBlockCipher:
             aes.encrypt_block(b"short")
         with pytest.raises(CryptoError):
             aes.decrypt_block(b"short")
+
+
+class TestBatchedCore:
+    """The ``(N, 16)`` core against the block-at-a-time reference."""
+
+    @given(key=st.binary(min_size=16, max_size=16),
+           data=st.binary(min_size=0, max_size=64 * 16))
+    @settings(max_examples=40, deadline=None)
+    def test_every_row_matches_the_reference(self, key, data):
+        data = data[:len(data) - len(data) % 16]
+        blocks = np.frombuffer(data, dtype=np.uint8).reshape(-1, 16)
+        reference = ref.ReferenceAES128(key)
+        encrypted = encrypt_blocks(expand_key(key), blocks)
+        assert encrypted.tobytes() == b"".join(
+            reference.encrypt_block(data[i:i + 16])
+            for i in range(0, len(data), 16))
+        assert decrypt_blocks(expand_key(key), encrypted).tobytes() == data
+
+    def test_empty_batch(self):
+        empty = np.empty((0, 16), dtype=np.uint8)
+        assert encrypt_blocks(expand_key(bytes(16)), empty).shape == (0, 16)
+        assert decrypt_blocks(expand_key(bytes(16)), empty).shape == (0, 16)
+
+    def test_rejects_ragged_blocks(self):
+        with pytest.raises(CryptoError):
+            encrypt_blocks(expand_key(bytes(16)), np.zeros((2, 15), np.uint8))

@@ -27,7 +27,13 @@ Operator documentation lives in docs/SERVICE.md.
 from .audit import AuditEvent, AuditLog
 from .cache import CachedGop, GopCache
 from .frontend import ServiceFrontend
-from .keyring import Keyring, TenantKey, TenantPolicy, derive_tenant_key
+from .keyring import (
+    Keyring,
+    TenantKey,
+    TenantPolicy,
+    derive_tenant_key,
+    object_master_iv,
+)
 from .loadgen import (
     LoadgenReport,
     build_plan,
@@ -84,6 +90,7 @@ __all__ = [
     "build_plan",
     "derive_tenant_key",
     "object_id_for",
+    "object_master_iv",
     "replication_health",
     "run_durability_contrast",
     "run_loadgen",

@@ -5,9 +5,13 @@ deterministically from the keyring seed (the whole service is a
 simulation harness — determinism *is* the security property under
 test here, not secrecy). The keyring answers three questions:
 
-* **what key encrypts tenant T's streams** — :meth:`Keyring.encryptor`
-  builds the per-tenant :class:`~repro.crypto.streams.StreamEncryptor`
-  (CTR mode: positional, so damage coordinates survive decryption);
+* **what key encrypts object O of tenant T** — :meth:`Keyring.encryptor`
+  builds the :class:`~repro.crypto.streams.StreamEncryptor` for one
+  object (CTR mode: positional, so damage coordinates survive
+  decryption). Its master IV is the tenant's master IV diversified by
+  the content-addressed object id (:func:`object_master_iv`), so no two
+  objects of a tenant share a keystream — one IV per tenant would make
+  every object's ciphertext XOR to the XOR of their plaintexts;
 * **may tenant A read tenant B's object** — owner always; otherwise
   only if B's policy lists A in ``shared_with`` (checked by
   :meth:`Keyring.check_read`, which raises
@@ -57,6 +61,21 @@ def derive_tenant_key(tenant: str, seed: int) -> TenantKey:
     """
     digest = hashlib.sha256(f"keyring|{seed}|{tenant}".encode()).digest()
     return TenantKey(tenant=tenant, key=digest[:16], master_iv=digest[16:])
+
+
+def object_master_iv(material: TenantKey, object_id: str) -> bytes:
+    """The paper's per-video master IV for one stored object: the
+    tenant's master IV XOR ``sha256(object_id)[:16]``.
+
+    Stream IVs are ``E_k(object master IV XOR stream_id)``
+    (:func:`~repro.crypto.streams.derive_stream_iv`), so two objects
+    share a stream IV only if their id digests differ in nothing but
+    the low stream-id bits. The object id is the content address, so
+    the IV is as deterministic as the id: a dedupe hit or a repair
+    rewrite lands on the same IV.
+    """
+    digest = hashlib.sha256(object_id.encode()).digest()
+    return bytes(a ^ b for a, b in zip(material.master_iv, digest))
 
 
 class Keyring:
@@ -123,8 +142,10 @@ class Keyring:
                 f"a key")
         return self._keys[tenant]
 
-    def encryptor(self, tenant: str) -> StreamEncryptor:
-        """A CTR-mode stream encryptor under the tenant's live key."""
+    def encryptor(self, tenant: str, object_id: str) -> StreamEncryptor:
+        """A CTR-mode stream encryptor for one of the tenant's objects,
+        under the tenant's live key and the object's master IV."""
         material = self.key(tenant)
-        return StreamEncryptor(key=material.key,
-                               master_iv=material.master_iv, mode="CTR")
+        master_iv = object_master_iv(material, object_id)
+        return StreamEncryptor(key=material.key, master_iv=master_iv,
+                               mode="CTR")

@@ -235,7 +235,7 @@ class VideoObjectStore:
         shards again.
         """
         self.keyring.add_tenant(tenant)
-        encryptor = self.keyring.encryptor(tenant)
+        self.keyring.key(tenant)  # a retired key fails before encoding
         with obs_trace.span("service.ingest", tenant=tenant,
                             clips=len(videos)):
             groups: Dict[Tuple[int, int, int], List[int]] = {}
@@ -253,7 +253,7 @@ class VideoObjectStore:
             ids: List[str] = []
             for index in range(len(videos)):
                 ids.append(self._place_one(
-                    tenant, encryptor, encoded_by_index[index],
+                    tenant, encoded_by_index[index],
                     recon_by_index[index]))
             return ids
 
@@ -261,7 +261,7 @@ class VideoObjectStore:
         """Ingest one clip (see :meth:`put_many`)."""
         return self.put_many(tenant, [video])[0]
 
-    def _place_one(self, tenant, encryptor, encoded, recon) -> str:
+    def _place_one(self, tenant, encoded, recon) -> str:
         """Partition, encrypt, and place one encoded clip."""
         object_id = object_id_for(encoded.serialize())
         if (tenant, object_id) in self._records:
@@ -271,6 +271,7 @@ class VideoObjectStore:
         importance = compute_importance(encoded.trace)
         protected = partition_video(encoded, importance, self.assignment)
         ordered = sorted(protected.streams)
+        encryptor = self.keyring.encryptor(tenant, object_id)
         ciphertext = encryptor.encrypt_streams(
             {i: protected.streams[name]
              for i, name in enumerate(ordered)})
@@ -317,7 +318,7 @@ class VideoObjectStore:
             self.keyring.add_tenant(reader)
             try:
                 self.keyring.check_read(tenant, reader)
-                encryptor = self.keyring.encryptor(tenant)
+                encryptor = self.keyring.encryptor(tenant, object_id)
             except ServiceError as exc:
                 self.audit.record("denied", reader, object_id,
                                   detail=str(exc))
@@ -499,7 +500,7 @@ class VideoObjectStore:
             self.keyring.add_tenant(reader)
             try:
                 self.keyring.check_read(tenant, reader)
-                encryptor = self.keyring.encryptor(tenant)
+                encryptor = self.keyring.encryptor(tenant, object_id)
             except ServiceError as exc:
                 self.audit.record("denied", reader, object_id,
                                   detail=str(exc))

@@ -5,6 +5,8 @@ import pytest
 from repro.errors import AccessDeniedError, ServiceError, StaleKeyError
 from repro.service import Keyring, derive_tenant_key
 
+OBJECT_ID = "ab" * 32
+
 
 class TestDerivation:
     def test_deterministic_per_tenant_and_seed(self):
@@ -54,18 +56,19 @@ class TestKeyring:
     def test_retired_key_refuses_use(self):
         ring = Keyring()
         ring.add_tenant("alice")
-        assert ring.encryptor("alice") is not None
+        assert ring.encryptor("alice", OBJECT_ID) is not None
         ring.retire("alice")
         with pytest.raises(StaleKeyError):
             ring.key("alice")
         with pytest.raises(StaleKeyError):
-            ring.encryptor("alice")
+            ring.encryptor("alice", OBJECT_ID)
 
     def test_encryptor_round_trips(self):
         ring = Keyring(seed=3)
         ring.add_tenant("alice")
-        enc = ring.encryptor("alice")
+        enc = ring.encryptor("alice", OBJECT_ID)
         blob = bytes(range(64))
         sealed = enc.encrypt_streams({0: blob})
         assert sealed[0] != blob
-        assert ring.encryptor("alice").decrypt_streams(sealed)[0] == blob
+        assert ring.encryptor("alice", OBJECT_ID).decrypt_streams(
+            sealed)[0] == blob

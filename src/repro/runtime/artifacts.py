@@ -1,12 +1,14 @@
-"""Session-scoped cache of clean encode/decode artifacts.
+"""Session-scoped cache of clean encodes and their reconstructions.
 
 Nearly every experiment runner starts the same way: encode the probe
-video, then decode it cleanly for the quality reference. Encoding is by
-far the most expensive single step of a campaign (pure-Python motion
-search + CABAC), yet the figure runners historically each redid it. The
-cache keys artifacts by a content hash of ``(video, EncoderConfig)`` so
-one campaign — or several runners sharing a probe video — pays for the
-clean encode and decode exactly once.
+video, then take its clean reconstruction as the quality reference.
+Encoding is by far the most expensive single step of a campaign
+(pure-Python motion search + CABAC), yet the figure runners
+historically each redid it. The cache keys artifacts by a content hash
+of ``(video, EncoderConfig)`` so one campaign — or several runners
+sharing a probe video — pays for the clean encode exactly once. The
+clean reconstruction comes from the encoder's closed loop, so it costs
+no decode.
 
 Cached objects are shared, not copied: treat them as immutable (every
 library path that damages a stream already works on copies via
@@ -23,7 +25,6 @@ from dataclasses import fields
 from typing import Optional, Tuple
 
 from ..codec.config import EncoderConfig
-from ..codec.decoder import Decoder
 from ..codec.encoded import EncodedVideo
 from ..codec.encoder import Encoder
 from ..video.frame import VideoSequence
@@ -44,8 +45,15 @@ def content_key(video: VideoSequence, config: EncoderConfig) -> str:
     return digest.hexdigest()
 
 
+def _encode(video: VideoSequence, config: EncoderConfig
+            ) -> Tuple[EncodedVideo, VideoSequence]:
+    """The encode of ``video`` and its clean reconstruction."""
+    (encoded,), (recon,) = Encoder(config).encode_batch_with_recon([video])
+    return encoded, VideoSequence.from_array(recon, fps=video.fps)
+
+
 class ArtifactCache:
-    """LRU cache of ``(EncodedVideo, clean decode)`` pairs."""
+    """LRU cache of ``(EncodedVideo, clean reconstruction)`` pairs."""
 
     def __init__(self, max_entries: int = 8, enabled: bool = True) -> None:
         if max_entries < 1:
@@ -54,7 +62,7 @@ class ArtifactCache:
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
-        self._entries: "OrderedDict[str, Tuple[EncodedVideo, Optional[VideoSequence]]]" = OrderedDict()
+        self._entries: "OrderedDict[str, Tuple[EncodedVideo, VideoSequence]]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -63,52 +71,33 @@ class ArtifactCache:
         """Drop every cached artifact (hit/miss counters retained)."""
         self._entries.clear()
 
-    def _get(self, key: str) -> Optional[Tuple[EncodedVideo,
-                                               Optional[VideoSequence]]]:
+    def _entry(self, video: VideoSequence, config: EncoderConfig
+               ) -> Tuple[EncodedVideo, VideoSequence]:
+        if not self.enabled:
+            return _encode(video, config)
+        key = content_key(video, config)
         entry = self._entries.get(key)
         if entry is not None:
+            self.hits += 1
             self._entries.move_to_end(key)
-        return entry
-
-    def _put(self, key: str,
-             entry: Tuple[EncodedVideo, Optional[VideoSequence]]) -> None:
+            return entry
+        self.misses += 1
+        entry = _encode(video, config)
         self._entries[key] = entry
-        self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
+        return entry
 
     def encode(self, video: VideoSequence,
                config: EncoderConfig) -> EncodedVideo:
         """Encode ``video`` (with trace), reusing a cached result."""
-        if not self.enabled:
-            return Encoder(config).encode(video)
-        key = content_key(video, config)
-        entry = self._get(key)
-        if entry is not None:
-            self.hits += 1
-            return entry[0]
-        self.misses += 1
-        encoded = Encoder(config).encode(video)
-        self._put(key, (encoded, None))
-        return encoded
+        return self._entry(video, config)[0]
 
     def clean_decode(self, video: VideoSequence,
                      config: EncoderConfig) -> VideoSequence:
-        """Clean decode of the cached encode of ``video``."""
-        if not self.enabled:
-            return Decoder().decode(self.encode(video, config))
-        key = content_key(video, config)
-        entry = self._get(key)
-        if entry is None:
-            self.encode(video, config)
-            entry = self._get(key)
-        encoded, clean = entry
-        if clean is None:
-            clean = Decoder().decode(encoded)
-            self._put(key, (encoded, clean))
-        else:
-            self.hits += 1
-        return clean
+        """Clean reconstruction of the cached encode of ``video`` —
+        byte-identical to decoding that stream without errors."""
+        return self._entry(video, config)[1]
 
 
 _session_cache: Optional[ArtifactCache] = None

@@ -12,8 +12,8 @@ reframing corpus encoding as a *campaign*:
   whole-clip encode;
 * the units become ``KIND_ENCODE_UNIT`` :class:`TrialSpec` records
   scheduled through the standard campaign executor, which stacks
-  same-geometry units into :class:`~repro.codec.batch.BatchEncoder`
-  calls (one numpy call per stage for the whole stack);
+  same-geometry units into one :class:`~repro.codec.encoder.Encoder`
+  call (one numpy call per stage for the whole stack);
 * clip frames travel to workers through one shared-memory segment
   (:class:`~repro.runtime.shm.SharedClipStore`) instead of per-worker
   pickles.
@@ -89,10 +89,10 @@ def clip_unit_bounds(num_frames: int,
     GOP-aligned units when the structure supports splitting; for
     configurations :func:`gop_unit_bounds` refuses with a
     :class:`GopStructureError` (``bframes > 0``), the clip becomes a
-    single whole-clip unit. The scalar encoder handles B-frames, so the
-    farm still encodes such corpora — it just cannot split or batch
-    them (``_batchable_key`` excludes B-frame configs), trading
-    granularity for correctness instead of refusing the corpus.
+    single whole-clip unit. The encoder batches B-frame clips like any
+    other, so the farm still encodes such corpora — it just cannot
+    split them, trading granularity for correctness instead of refusing
+    the corpus.
     """
     try:
         return gop_unit_bounds(num_frames, config)

@@ -48,8 +48,9 @@ class TestRoundTrip:
         assert len(decoded_small) == len(small_video)
 
     def test_encoder_reconstruct_helper(self, small_video, default_config):
-        recon = Encoder(default_config).reconstruct(small_video)
-        assert video_psnr(small_video, recon) > 35.0
+        _, (recon,) = Encoder(default_config).encode_batch_with_recon(
+            [small_video])
+        assert video_psnr(small_video, VideoSequence.from_array(recon)) > 35.0
 
 
 class TestDeterminism:

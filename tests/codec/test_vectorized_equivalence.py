@@ -1,7 +1,7 @@
 """Property tests: vectorized hot paths == scalar references, bit for bit.
 
 Every batched numpy kernel introduced for throughput is checked against
-the loop-level implementations in :mod:`repro.codec.reference` on
+the loop-level implementations in ``tests/codec/reference.py`` on
 Hypothesis-generated inputs. These tests are the per-kernel counterpart
 of the whole-pipeline net in ``test_golden_bitstreams.py``: a digest
 mismatch says *something* diverged, a failure here says exactly which
@@ -12,23 +12,26 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro.codec import reference as ref
+import reference as ref
+from reference_encoder import ReferenceEncoder
+
 from repro.codec.batch import (
     assemble_gop_units,
+    encode_batch,
     encode_batch_with_recon,
     gop_unit_bounds,
 )
 from repro.codec.bitstream import BitReader, BitWriter
 from repro.codec.cabac import CabacDecoder, CabacEncoder
 from repro.codec.cavlc import CavlcDecoder, CavlcEncoder
-from repro.codec.config import EncoderConfig
+from repro.codec.config import EncoderConfig, EntropyCoder
 from repro.codec.decoder import Decoder
 from repro.codec.deblock import (
     _filter_vertical_edges,
     deblock_frame,
     filter_thresholds,
 )
-from repro.codec.encoder import Encoder
+from repro.codec.encoder import _coded_block_patterns_many
 from repro.codec.intra import choose_intra_mode
 from repro.codec.motion import (
     ENCODER_RECTS,
@@ -287,7 +290,7 @@ class TestEncoderHelperEquivalence:
     @given(coefficients=npst.arrays(np.int32, (16, 4, 4),
                                     elements=st.integers(-3, 3)))
     def test_coded_block_pattern_matches_loops(self, coefficients):
-        got = Encoder._coded_block_pattern(coefficients)
+        got = tuple(_coded_block_patterns_many(coefficients[None])[0].tolist())
         assert got == ref.coded_block_pattern_scalar(coefficients)
 
     @settings(max_examples=25, deadline=None)
@@ -308,10 +311,11 @@ class TestEncoderHelperEquivalence:
 # Whole-pipeline batching: the encode farm's stacked path
 # ----------------------------------------------------------------------
 
-def clip_stacks(count: int, min_frames: int = 2, max_frames: int = 5):
+def clip_stacks(count: int, min_frames: int = 2, max_frames: int = 5,
+                min_mb_rows: int = 1):
     """Strategy: ``count`` same-geometry uint8 clips as one array."""
     return st.tuples(
-        st.integers(1, 2), st.integers(1, 2),
+        st.integers(min_mb_rows, 2), st.integers(1, 2),
         st.integers(min_frames, max_frames),
     ).flatmap(
         lambda dims: npst.arrays(
@@ -322,25 +326,55 @@ def clip_stacks(count: int, min_frames: int = 2, max_frames: int = 5):
     )
 
 
-class TestBatchEncoderEquivalence:
-    """The batch encoder's contract is bit-for-bit equality: same
-    streams (traces included — ``serialize`` covers them) and the same
-    reconstruction the decoder would produce from those streams."""
+@st.composite
+def encoder_configs(draw):
+    """Strategy: configs over every mode the encode loop branches on."""
+    bframes = draw(st.integers(0, 2))
+    return EncoderConfig(
+        crf=draw(st.integers(18, 42)),
+        gop_size=draw(st.integers(max(2, bframes + 1), 4)),
+        bframes=bframes,
+        slices=draw(st.integers(1, 2)),
+        entropy_coder=draw(st.sampled_from(EntropyCoder)),
+        adaptive_qp=draw(st.booleans()),
+        deblocking=draw(st.booleans()),
+    )
+
+
+class TestBatchedEncodeEquivalence:
+    """The encoder's contract is bit-for-bit equality with the
+    per-macroblock reference loop in ``reference_encoder.py``: same
+    streams (traces included — ``serialize`` covers them) whatever a
+    clip is batched with — N=1 is every lone encode — and the same
+    reconstruction the decoder produces from those streams."""
 
     @settings(max_examples=8, deadline=None)
-    @given(data=st.data(), crf=st.integers(18, 42), gop=st.integers(2, 4))
-    def test_batched_streams_and_recon_match_per_clip(self, data, crf,
-                                                      gop):
-        count = data.draw(st.integers(2, 3))
-        stack = data.draw(clip_stacks(count))
+    @given(data=st.data(), config=encoder_configs())
+    def test_batched_streams_and_recon_match_per_clip(self, data, config):
+        count = data.draw(st.integers(1, 3))
+        stack = data.draw(clip_stacks(count, min_mb_rows=config.slices))
         videos = [VideoSequence.from_array(clip) for clip in stack]
-        config = EncoderConfig(crf=crf, gop_size=gop)
         encodeds, recons = encode_batch_with_recon(videos, config)
         for video, encoded, recon in zip(videos, encodeds, recons):
-            want = Encoder(config).encode(video)
+            want = ReferenceEncoder(config).encode(video)
             assert encoded.serialize() == want.serialize()
-            decoded = Decoder().decode(want).to_array()
+            decoded = Decoder().decode(encoded).to_array()
             np.testing.assert_array_equal(recon, decoded)
+
+    def test_mixed_geometry_batch_matches_per_clip_in_input_order(self):
+        rng = np.random.default_rng(11)
+        shapes = [(3, 32, 32), (4, 16, 48), (3, 32, 32), (2, 16, 16),
+                  (4, 16, 48)]
+        videos = [VideoSequence.from_array(
+            rng.integers(0, 256, size=shape, dtype=np.uint8))
+            for shape in shapes]
+        config = EncoderConfig(crf=30, gop_size=2)
+        encodeds, recons = encode_batch_with_recon(videos, config)
+        assert len(encodeds) == len(recons) == len(videos)
+        for video, encoded, recon in zip(videos, encodeds, recons):
+            (want,), (want_recon,) = encode_batch_with_recon([video], config)
+            assert encoded.serialize() == want.serialize()
+            np.testing.assert_array_equal(recon, want_recon)
 
     @settings(max_examples=6, deadline=None)
     @given(data=st.data(), crf=st.integers(20, 40), gop=st.integers(2, 4))
@@ -348,10 +382,10 @@ class TestBatchEncoderEquivalence:
         stack = data.draw(clip_stacks(1, min_frames=3, max_frames=9))
         video = VideoSequence.from_array(stack[0])
         config = EncoderConfig(crf=crf, gop_size=gop)
-        whole = Encoder(config).encode(video).serialize()
+        whole = ReferenceEncoder(config).encode(video).serialize()
         bounds = gop_unit_bounds(len(video), config)
         assert bounds[0][0] == 0 and bounds[-1][1] == len(video)
-        units = [Encoder(config).encode(video.subsequence(start, stop))
-                 for start, stop in bounds]
+        units = encode_batch([video.subsequence(start, stop)
+                              for start, stop in bounds], config)
         stitched = assemble_gop_units(units, len(video))
         assert stitched.serialize() == whole

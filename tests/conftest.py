@@ -6,12 +6,20 @@ and shared by every test that only reads them.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.codec import Decoder, EncodedVideo, Encoder, EncoderConfig
 from repro.core import compute_importance
 from repro.video import SceneConfig, VideoSequence, synthesize_scene
+
+# The codec's reference implementations (``tests/codec/reference.py``,
+# ``tests/codec/reference_encoder.py``) are plain modules that suites
+# outside ``tests/codec`` compare against too.
+sys.path.insert(0, str(Path(__file__).resolve().parent / "codec"))
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,8 @@
 The farm's whole contract is "same numbers, faster": GOP work units,
 batched execution, shared-memory clip transport, and journal resume
 must each be invisible in the results. Every test here compares a farm
-configuration against either the scalar per-unit pipeline or another
-farm configuration and demands equality.
+configuration against either the per-macroblock reference encoder or
+another farm configuration and demands equality.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ import pickle
 
 import numpy as np
 import pytest
+from reference_encoder import ReferenceEncoder
 
 from repro.codec import EncoderConfig
 from repro.codec.batch import gop_unit_bounds
 from repro.codec.decoder import Decoder
-from repro.codec.encoder import Encoder
 from repro.metrics.psnr import video_psnr
 from repro.runtime import RunStats
 from repro.runtime.farm import (
@@ -43,14 +43,15 @@ def _clips(count=3, width=32, height=32, frames=6, seed=7):
 
 
 def _per_clip_reference(clips, config):
-    """(bits, psnr) per clip via the scalar per-unit pipeline."""
+    """(bits, psnr) per clip: reference-encode each unit, decode the
+    whole clip."""
     expected = []
     for clip in clips:
         bits = 0
         for start, stop in gop_unit_bounds(len(clip), config):
             unit = clip.subsequence(start, stop)
-            bits += 8 * len(Encoder(config).encode(unit).serialize())
-        encoded = Encoder(config).encode(clip)
+            bits += 8 * len(ReferenceEncoder(config).encode(unit).serialize())
+        encoded = ReferenceEncoder(config).encode(clip)
         psnr = video_psnr(clip, Decoder().decode(encoded))
         expected.append((bits, psnr))
     return expected
@@ -97,13 +98,6 @@ class TestFarmInvariances:
         by_value = self._run(clips, use_shared_memory=False)
         by_segment = self._run(clips, use_shared_memory=True)
         assert by_value == by_segment
-
-    def test_batch_disable_invariant(self, monkeypatch):
-        clips = _clips()
-        batched = self._run(clips, use_shared_memory=False)
-        monkeypatch.setenv("REPRO_BATCH_DISABLE", "1")
-        scalar = self._run(clips, use_shared_memory=False)
-        assert batched == scalar
 
 
 class TestFarmJournalResume:
@@ -226,7 +220,7 @@ class TestBFrameFallback:
         result = encode_farm(clips, self._BCONFIG, workers=0,
                              batch_size=4, use_shared_memory=False)
         for clip, clip_result in zip(clips, result.clips):
-            encoded = Encoder(self._BCONFIG).encode(clip)
+            encoded = ReferenceEncoder(self._BCONFIG).encode(clip)
             assert clip_result.complete
             assert clip_result.units == 1
             assert clip_result.bits == 8 * len(encoded.serialize())

@@ -30,6 +30,8 @@ from typing import Iterator, List, Tuple
 
 #: Packages whose public API must be fully docstringed.
 DOCSTRING_PACKAGES = (
+    "src/repro/codec/encoder.py",
+    "src/repro/codec/batch.py",
     "src/repro/obs",
     "src/repro/runtime",
     "src/repro/service",

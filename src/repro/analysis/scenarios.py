@@ -55,7 +55,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..codec.config import EncoderConfig
-from ..codec.decoder import Decoder
 from ..codec.encoder import Encoder
 from ..core.importance import compute_importance, macroblock_bits
 from ..core.pipeline import ApproximateVideoStore
@@ -261,9 +260,9 @@ def importance_ranking_flags(video: VideoSequence, config: EncoderConfig,
     as hurting the bottom bin (within tolerance); an inversion is a
     genuine model gap on that content and is returned as a flag.
     """
-    encoded = Encoder(config).encode(video)
+    (encoded,), (recon,) = Encoder(config).encode_batch_with_recon([video])
     assert encoded.trace is not None
-    clean = Decoder().decode(encoded)
+    clean = VideoSequence.from_array(recon, fps=video.fps)
     importance = compute_importance(encoded.trace)
     bins = equal_storage_bins(macroblock_bits(encoded.trace, importance),
                               num_bins=4)
@@ -299,8 +298,9 @@ def predictor_prune_flags(video: VideoSequence, config: EncoderConfig,
         return []
     truth = {}
     for crf in crf_grid:
-        encoded = Encoder(dataclasses.replace(config, crf=crf)).encode(video)
-        decoded = Decoder().decode(encoded)
+        encoder = Encoder(dataclasses.replace(config, crf=crf))
+        (encoded,), (recon,) = encoder.encode_batch_with_recon([video])
+        decoded = VideoSequence.from_array(recon, fps=video.fps)
         truth[crf] = (8 * len(encoded.serialize()),
                       float(video_psnr(video, decoded)))
     budget = DEFAULT_EPSILON_DB + PREDICTOR_AUDIT_SLACK_DB

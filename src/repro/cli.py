@@ -43,7 +43,6 @@ analysis is an encoder-side step and needs the trace).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -180,12 +179,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _resolve_trace_path(args: argparse.Namespace) -> Optional[str]:
     """Effective Chrome-trace output path: ``--trace`` wins, then
     ``REPRO_TRACE``; None means tracing stays off."""
+    from .knobs import knob
     from .obs.trace import TRACE_ENV
 
-    path = getattr(args, "trace", None)
-    if path:
-        return path
-    return os.environ.get(TRACE_ENV, "").strip() or None
+    return knob(TRACE_ENV).resolve(getattr(args, "trace", None) or None)
 
 
 def _ecc_calibration() -> None:

@@ -12,14 +12,14 @@ no decode.
 
 Cached objects are shared, not copied: treat them as immutable (every
 library path that damages a stream already works on copies via
-``EncodedVideo.with_payloads``). Set ``REPRO_ARTIFACT_CACHE=0`` to
-disable caching entirely.
+``EncodedVideo.with_payloads``). Set ``REPRO_ARTIFACT_CACHE=0`` (or
+any other off-word: ``false``, ``no``, ``off``) to disable caching
+entirely.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 from dataclasses import fields
 from typing import Optional, Tuple
@@ -27,10 +27,13 @@ from typing import Optional, Tuple
 from ..codec.config import EncoderConfig
 from ..codec.encoded import EncodedVideo
 from ..codec.encoder import Encoder
+from ..knobs import knob
 from ..video.frame import VideoSequence
 
-#: Environment knob: set to ``0`` to disable the session cache.
+#: Environment knob: set to an off-word (``0``, ``false``, ``no``,
+#: ``off``) to disable the session cache.
 CACHE_ENV = "REPRO_ARTIFACT_CACHE"
+_CACHE = knob(CACHE_ENV)
 
 
 def content_key(video: VideoSequence, config: EncoderConfig) -> str:
@@ -104,9 +107,10 @@ _session_cache: Optional[ArtifactCache] = None
 
 
 def session_cache() -> ArtifactCache:
-    """The process-wide cache (disabled when REPRO_ARTIFACT_CACHE=0)."""
+    """The process-wide cache (disabled when ``REPRO_ARTIFACT_CACHE`` is
+    an off-word)."""
     global _session_cache
-    enabled = os.environ.get(CACHE_ENV, "1").strip() != "0"
+    enabled = _CACHE.resolve()
     if _session_cache is None:
         _session_cache = ArtifactCache(enabled=enabled)
     else:

@@ -67,22 +67,25 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import AnalysisError, ChaosError, TransientShardError
+from ..knobs import knob
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 
-#: Environment knobs (all optional; any one present arms a policy when
-#: the CLI calls :func:`policy_from_env`). See docs/OBSERVABILITY.md.
-CHAOS_SEED_ENV = "REPRO_CHAOS_SEED"
-CHAOS_DEVICE_RATE_ENV = "REPRO_CHAOS_DEVICE_RATE"
-CHAOS_BURST_RATE_ENV = "REPRO_CHAOS_BURST_RATE"
-CHAOS_BURST_BLOCKS_ENV = "REPRO_CHAOS_BURST_BLOCKS"
-CHAOS_SHARD_STORM_ENV = "REPRO_CHAOS_SHARD_STORM"
-CHAOS_SHARD_FLAKES_ENV = "REPRO_CHAOS_SHARD_FLAKES"
-CHAOS_FAIL_TRIALS_ENV = "REPRO_CHAOS_FAIL_TRIALS"
-CHAOS_CRASH_TRIALS_ENV = "REPRO_CHAOS_CRASH_TRIALS"
-CHAOS_HANG_TRIALS_ENV = "REPRO_CHAOS_HANG_TRIALS"
-CHAOS_SHM_AT_ENV = "REPRO_CHAOS_SHM_AT"
-CHAOS_JOURNAL_AT_ENV = "REPRO_CHAOS_JOURNAL_AT"
+#: The :class:`ChaosPolicy` field each ``REPRO_CHAOS_*`` knob sets in
+#: :func:`policy_from_env`. See docs/OBSERVABILITY.md.
+_ENV_FIELDS = (
+    ("REPRO_CHAOS_SEED", "seed"),
+    ("REPRO_CHAOS_DEVICE_RATE", "device_fault_rate"),
+    ("REPRO_CHAOS_BURST_RATE", "device_burst_rate"),
+    ("REPRO_CHAOS_BURST_BLOCKS", "device_burst_blocks"),
+    ("REPRO_CHAOS_SHARD_STORM", "shard_storm"),
+    ("REPRO_CHAOS_SHARD_FLAKES", "shard_flake_reads"),
+    ("REPRO_CHAOS_FAIL_TRIALS", "fail_trials"),
+    ("REPRO_CHAOS_CRASH_TRIALS", "crash_trials"),
+    ("REPRO_CHAOS_HANG_TRIALS", "hang_trials"),
+    ("REPRO_CHAOS_SHM_AT", "shm_fail_at"),
+    ("REPRO_CHAOS_JOURNAL_AT", "journal_tear_at"),
+)
 
 
 @dataclass(frozen=True)
@@ -477,69 +480,23 @@ def journal_record_fault(path: Path, record_bytes: int) -> None:
 # Environment activation
 # ----------------------------------------------------------------------
 
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise AnalysisError(f"{name}={raw!r} is not an integer") from None
-
-
-def _env_indices(name: str) -> Tuple[int, ...]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return ()
-    try:
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise AnalysisError(
-            f"{name}={raw!r} is not a comma-separated list of trial "
-            f"indices") from None
-
-
 def policy_from_env() -> Optional[ChaosPolicy]:
     """Build a :class:`ChaosPolicy` from ``REPRO_CHAOS_*`` knobs.
 
     Returns None when no chaos knob is set (the overwhelmingly common
-    case). Invalid values raise a clear :class:`AnalysisError` naming
-    the variable. The CLI arms the result for every subcommand, so any
-    exhibit — sweep, retention, farm — can run under an injected fault
-    schedule without code changes.
+    case); ``REPRO_CHAOS_BURST_BLOCKS`` alone only shapes bursts and
+    arms nothing. Only the knobs that are set are passed, so every
+    other field keeps its :class:`ChaosPolicy` default. Invalid values
+    raise a clear :class:`AnalysisError` naming the variable. The CLI
+    arms the result for every subcommand, so any exhibit — sweep,
+    retention, farm — can run under an injected fault schedule without
+    code changes.
     """
-    rate_raw = os.environ.get(CHAOS_DEVICE_RATE_ENV, "").strip()
-    burst_raw = os.environ.get(CHAOS_BURST_RATE_ENV, "").strip()
-    storm = os.environ.get(CHAOS_SHARD_STORM_ENV, "").strip() or None
-    flakes = _env_indices(CHAOS_SHARD_FLAKES_ENV)
-    seed = _env_int(CHAOS_SEED_ENV)
-    fail = _env_indices(CHAOS_FAIL_TRIALS_ENV)
-    crash = _env_indices(CHAOS_CRASH_TRIALS_ENV)
-    hang = _env_indices(CHAOS_HANG_TRIALS_ENV)
-    shm_at = _env_int(CHAOS_SHM_AT_ENV)
-    journal_at = _env_int(CHAOS_JOURNAL_AT_ENV)
-    if (not rate_raw and not burst_raw and storm is None and not flakes
-            and seed is None and not fail and not crash
-            and not hang and shm_at is None and journal_at is None):
+    fields = {}
+    for name, field_name in _ENV_FIELDS:
+        value = knob(name).resolve()
+        if value is not None and value != ():
+            fields[field_name] = value
+    if not fields.keys() - {"device_burst_blocks"}:
         return None
-
-    def _rate(raw: str, env: str) -> float:
-        if not raw:
-            return 0.0
-        try:
-            return float(raw)
-        except ValueError:
-            raise AnalysisError(
-                f"{env}={raw!r} is not a probability") from None
-
-    burst_blocks = _env_int(CHAOS_BURST_BLOCKS_ENV)
-    return ChaosPolicy(
-        seed=seed or 0,
-        device_fault_rate=_rate(rate_raw, CHAOS_DEVICE_RATE_ENV),
-        device_burst_rate=_rate(burst_raw, CHAOS_BURST_RATE_ENV),
-        device_burst_blocks=(burst_blocks if burst_blocks is not None
-                             else 4),
-        shard_storm=storm, shard_flake_reads=flakes,
-        fail_trials=fail, crash_trials=crash,
-        hang_trials=hang, shm_fail_at=shm_at,
-        journal_tear_at=journal_at)
+    return ChaosPolicy(**fields)

@@ -52,7 +52,6 @@ including one interleaved with crash recovery or resumed from a journal
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from collections import deque
 from concurrent.futures import (
@@ -67,6 +66,7 @@ from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import AnalysisError, TrialTimeout
+from ..knobs import knob
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.progress import ProgressReporter, resolve_progress
@@ -93,12 +93,14 @@ from .watchdog import resolve_trial_timeout, trial_deadline
 #: Environment knob: default worker count for every campaign.
 #: ``0`` or unset means serial; ``N >= 1`` means a pool of N processes.
 WORKERS_ENV = "REPRO_NUM_WORKERS"
+_WORKERS = knob(WORKERS_ENV)
 
 #: Environment knob: default crash-retry budget per trial.
 MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
+_MAX_RETRIES = knob(MAX_RETRIES_ENV)
 
 #: Resubmissions a crash-suspect trial gets before quarantine.
-DEFAULT_MAX_RETRIES = 2
+DEFAULT_MAX_RETRIES = _MAX_RETRIES.default
 
 #: Parent-side slack (seconds) added to a chunk's watchdog budget before
 #: the pool is presumed hard-hung and killed.
@@ -291,46 +293,16 @@ def _spec_label(spec: TrialSpec) -> str:
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Resolve the effective worker count.
-
-    Explicit ``workers`` wins; otherwise ``REPRO_NUM_WORKERS`` is
-    consulted; otherwise serial. Non-integer or negative settings are
-    rejected with a clear :class:`AnalysisError` naming the source.
-    """
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 0
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise AnalysisError(
-                f"{WORKERS_ENV}={raw!r} is not an integer") from None
-        if workers < 0:
-            raise AnalysisError(f"{WORKERS_ENV}={raw!r} must be >= 0")
-        return workers
-    if workers < 0:
-        raise AnalysisError(f"workers must be >= 0, got {workers}")
-    return workers
+    """Effective worker count: explicit ``workers``, else
+    ``REPRO_NUM_WORKERS``, else 0 (serial); negative or non-integer
+    settings raise :class:`AnalysisError` naming the knob."""
+    return _WORKERS.resolve(workers)
 
 
 def resolve_max_retries(max_retries: Optional[int] = None) -> int:
-    """Resolve the crash-retry budget (``REPRO_MAX_RETRIES`` fallback)."""
-    if max_retries is None:
-        raw = os.environ.get(MAX_RETRIES_ENV, "").strip()
-        if not raw:
-            return DEFAULT_MAX_RETRIES
-        try:
-            max_retries = int(raw)
-        except ValueError:
-            raise AnalysisError(
-                f"{MAX_RETRIES_ENV}={raw!r} is not an integer") from None
-        if max_retries < 0:
-            raise AnalysisError(f"{MAX_RETRIES_ENV}={raw!r} must be >= 0")
-        return max_retries
-    if max_retries < 0:
-        raise AnalysisError(f"max_retries must be >= 0, got {max_retries}")
-    return max_retries
+    """Crash-retry budget: explicit ``max_retries``, else
+    ``REPRO_MAX_RETRIES``, else :data:`DEFAULT_MAX_RETRIES`."""
+    return _MAX_RETRIES.resolve(max_retries)
 
 
 def fork_available() -> bool:

@@ -18,7 +18,8 @@ Semantics:
 * attachment is lazy and cached per process (fork inherits the handle,
   spawn re-attaches by name), and the creating process unlinks the
   segment on :meth:`close` or interpreter exit;
-* ``REPRO_BATCH_SHM=0`` disables the fast path: :func:`pack_clips`
+* ``REPRO_BATCH_SHM=0`` (or any other off-word: ``false``, ``no``,
+  ``off``) disables the fast path: :func:`pack_clips`
   then returns a plain tuple, which every consumer handles identically.
 """
 
@@ -26,24 +27,26 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import AnalysisError
+from ..knobs import knob
 from ..obs import metrics as obs_metrics
 from ..video.frame import VideoSequence
 from . import chaos
 
-#: Set to ``0`` to ship clips by value instead of by shared segment.
+#: Set to an off-word (``0``, ``false``, ``no``, ``off``) to ship clips
+#: by value instead of by shared segment.
 SHM_ENV = "REPRO_BATCH_SHM"
+_SHM = knob(SHM_ENV)
 
 
 def shared_memory_enabled() -> bool:
     """Whether contexts should pack clips into shared memory."""
-    return os.environ.get(SHM_ENV, "").strip() != "0"
+    return _SHM.resolve()
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,13 @@ worker count and in any execution order.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import AnalysisError
+from ..knobs import knob
 from ..codec.decoder import Decoder
 from ..codec.encoded import EncodedVideo
 from ..metrics.psnr import psnr as frame_psnr
@@ -45,22 +45,15 @@ KIND_ENCODE_UNIT = "encode_unit"  #: batchable clip/GOP encode work unit
 #: Upper bound on same-geometry encode units stacked into one batched
 #: kernel call (``REPRO_BATCH_SIZE`` overrides).
 BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
-DEFAULT_BATCH_SIZE = 16
+_BATCH_SIZE = knob(BATCH_SIZE_ENV)
+DEFAULT_BATCH_SIZE = _BATCH_SIZE.default
 
 
 def resolve_batch_size(batch_size: Optional[int] = None) -> int:
-    """Effective encode-batch width: argument, env knob, or default."""
-    if batch_size is not None:
-        return max(1, int(batch_size))
-    raw = os.environ.get(BATCH_SIZE_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError as exc:
-            raise AnalysisError(
-                f"{BATCH_SIZE_ENV} must be an integer, got {raw!r}"
-            ) from exc
-    return DEFAULT_BATCH_SIZE
+    """Effective encode-batch width: argument, env knob, or default;
+    a width below 1 raises :class:`AnalysisError`."""
+    return _BATCH_SIZE.resolve(batch_size)
+
 
 #: Failure kinds a trial can be quarantined with.
 FAILURE_TIMEOUT = "timeout"  #: exceeded its wall-clock watchdog budget

@@ -32,13 +32,13 @@ Both modes share the lifetime machinery:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import AnalysisError, StorageError
+from ..errors import StorageError
+from ..knobs import knob
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .bch import get_bch_code
@@ -48,6 +48,7 @@ from .mlc import MLCCellModel
 #: Environment knob: default re-read attempts for detected-uncorrectable
 #: blocks. ``0`` or unset disables the retry ladder.
 RETRIES_ENV = "REPRO_READ_RETRIES"
+_RETRIES = knob(RETRIES_ENV)
 
 #: Chaos seam: :func:`repro.runtime.chaos.arm` installs a fault decider
 #: here (and :func:`~repro.runtime.chaos.disarm` clears it) so the
@@ -65,24 +66,7 @@ def resolve_read_retries(retries: Optional[int] = None) -> int:
     consulted; otherwise ``0`` (no retries). Negative or non-integer
     depths are rejected with a clear :class:`AnalysisError`.
     """
-    if retries is None:
-        raw = os.environ.get(RETRIES_ENV, "").strip()
-        if not raw:
-            return 0
-        try:
-            retries = int(raw)
-        except ValueError:
-            raise AnalysisError(
-                f"{RETRIES_ENV}={raw!r} is not an integer retry depth"
-            ) from None
-        if retries < 0:
-            raise AnalysisError(f"{RETRIES_ENV}={raw!r} must be >= 0")
-        return retries
-    retries = int(retries)
-    if retries < 0:
-        raise AnalysisError(
-            f"read retries must be >= 0, got {retries}")
-    return retries
+    return _RETRIES.resolve(retries)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Documentation lint: intra-repo Markdown links and public docstrings.
+"""Documentation lint: Markdown links, public docstrings, knob tables.
 
-Two checks, both designed to fail CI loudly rather than let docs rot:
+Three checks, all designed to fail CI loudly rather than let docs rot:
 
 1. **Markdown links** — every relative link in every ``*.md`` file must
    point at a file (or directory) that exists in the repository.
@@ -12,6 +12,11 @@ Two checks, both designed to fail CI loudly rather than let docs rot:
    the packages listed in :data:`DOCSTRING_PACKAGES` must carry a
    docstring. "Public" means the name (and, for methods, the owning
    class) does not start with ``_``.
+3. **Knob tables** — every knob in :data:`repro.knobs.KNOBS` has
+   exactly one row in the canonical env table of docs/OBSERVABILITY.md,
+   each row's default cell opens with the knob's default (``unset`` for
+   None or off), and every ``REPRO_*`` row there or in docs/SERVICE.md's
+   table is a declared knob or one of :data:`BENCH_ONLY_KNOBS`.
 
 Usage::
 
@@ -25,8 +30,13 @@ from __future__ import annotations
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Any, Iterator, List, Tuple
+
+# The knob table is stdlib-only, so this check needs no install.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from repro.knobs import KNOBS  # noqa: E402
 
 #: Packages whose public API must be fully docstringed.
 DOCSTRING_PACKAGES = (
@@ -37,7 +47,25 @@ DOCSTRING_PACKAGES = (
     "src/repro/service",
     "src/repro/video/adversarial.py",
     "src/repro/analysis/scenarios.py",
+    "src/repro/knobs.py",
 )
+
+#: ``REPRO_*`` variables read only by benchmarks and tests, where they
+#: are used; every other documented variable must be a declared knob.
+BENCH_ONLY_KNOBS = ("REPRO_BENCH_SCALE", "REPRO_BENCH_WORKERS",
+                    "REPRO_REQUIRE_SCALING", "REPRO_PRINT_DIGESTS")
+
+#: The env tables checked against the knob table: (file, the heading
+#: that opens the table). The first is the canonical one, which must
+#: list every knob exactly once.
+KNOB_TABLES = (
+    ("docs/OBSERVABILITY.md", "## Environment variables (canonical table)"),
+    ("docs/SERVICE.md", "## Environment variables"),
+)
+
+#: One env-table row: ``| `REPRO_X` | default cell | meaning |``.
+_KNOB_ROW = re.compile(r"^\| `(REPRO_[A-Z0-9_]+)` \| ([^|]*) \|",
+                       re.MULTILINE)
 
 #: Directories never scanned for Markdown files.
 SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules",
@@ -125,16 +153,66 @@ def check_docstrings(root: Path) -> List[str]:
     return problems
 
 
+def documented_default(default: Any) -> str:
+    """How the default cell of a knob's table row must open."""
+    if default is None or default is False:
+        return "unset"
+    if default is True:
+        return "`1`"
+    if isinstance(default, float):
+        return f"`{default:g}`"
+    return f"`{default}`"
+
+
+def check_knob_tables(root: Path) -> List[str]:
+    """``file:line: problem`` findings for the env tables in
+    :data:`KNOB_TABLES` against :data:`repro.knobs.KNOBS`."""
+    defaults = {knob.name: knob.default for knob in KNOBS}
+    problems: List[str] = []
+    for table_index, (relpath, heading) in enumerate(KNOB_TABLES):
+        text = (root / relpath).read_text(encoding="utf-8")
+        start = text.find(heading + "\n")
+        if start < 0:
+            problems.append(f"{relpath}: no {heading!r} section")
+            continue
+        end = text.find("\n## ", start + len(heading))
+        section = text[start:end if end >= 0 else len(text)]
+        rows = Counter()
+        for row in _KNOB_ROW.finditer(section):
+            name, cell = row.group(1), row.group(2).strip()
+            rows[name] += 1
+            line = text.count("\n", 0, start + row.start()) + 1
+            if name in defaults:
+                expected = documented_default(defaults[name])
+                if not cell.startswith(expected):
+                    problems.append(
+                        f"{relpath}:{line}: {name} default {cell!r} does "
+                        f"not start with {expected!r}")
+            elif name not in BENCH_ONLY_KNOBS:
+                problems.append(
+                    f"{relpath}:{line}: {name} is not a knob in "
+                    f"repro.knobs.KNOBS")
+        if table_index == 0:
+            for name in defaults:
+                if rows[name] != 1:
+                    problems.append(
+                        f"{relpath}: {name} has {rows[name]} rows in the "
+                        f"canonical table, expected 1")
+    return problems
+
+
 def main(argv: List[str]) -> int:
-    """Run both checks; print findings; exit non-zero on any."""
+    """Run all checks; print findings; exit non-zero on any."""
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path.cwd()
-    problems = check_markdown_links(root) + check_docstrings(root)
+    problems = (check_markdown_links(root) + check_docstrings(root)
+                + check_knob_tables(root))
     for problem in problems:
         print(problem)
     if problems:
         print(f"\n{len(problems)} documentation problem(s)")
         return 1
-    print("docs clean: links resolve, public API is docstringed")
+    print("docs clean: links resolve, public API is docstringed, knob "
+          "tables match repro.knobs")
     return 0
 
 

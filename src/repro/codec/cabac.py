@@ -18,11 +18,14 @@ garbage — never to a crash or an unbounded loop.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 from ..errors import BitstreamError
 from .entropy import (
+    LEVEL_BUCKETS,
     MAX_EG_PREFIX,
+    QUADRANT_BLOCKS,
+    ZIGZAG_RASTER,
     ContextGroup,
     EntropyDecoder,
     EntropyEncoder,
@@ -76,6 +79,7 @@ class CabacEncoder(EntropyEncoder):
             self._range = (self._range << 8) & _MASK32
 
     def encode_bypass(self, bit: int) -> None:
+        """Encode one equiprobable bin: halve the range, no adaptation."""
         self._range >>= 1
         if bit:
             self._low += self._range
@@ -84,8 +88,11 @@ class CabacEncoder(EntropyEncoder):
             self._range = (self._range << 8) & _MASK32
 
     def encode_bypass_bits(self, value: int, count: int) -> None:
-        # Same per-bit range-coder steps as encode_bypass, run in one
-        # call to amortize Python dispatch over whole bin strings.
+        """Encode ``count`` bypass bins of ``value``, MSB first.
+
+        Same per-bit range-coder steps as :meth:`encode_bypass`, run in
+        one call to amortize Python dispatch over whole bin strings.
+        """
         for shift in range(count - 1, -1, -1):
             self._range >>= 1
             if (value >> shift) & 1:
@@ -98,9 +105,12 @@ class CabacEncoder(EntropyEncoder):
 
     def encode_flag(self, value: bool, group: ContextGroup,
                     variant: int = 0) -> None:
-        # Single context bin, inlined: flags are the most frequent symbol
-        # (skip / intra / cbp / sig) and the extra dispatch through
-        # _encode_context_bin is measurable at batch-encode scale.
+        """Encode one flag as a single context bin.
+
+        Inlined rather than routed through ``_encode_context_bin``:
+        flags are the most frequent symbol (skip / intra / cbp / sig)
+        and the extra dispatch is measurable at batch-encode scale.
+        """
         ctx = group.first_bin_context(variant)
         prob = self._probs[ctx]
         bound = (self._range >> _PROB_BITS) * prob
@@ -265,12 +275,16 @@ class CabacEncoder(EntropyEncoder):
 
     @property
     def bits_emitted(self) -> int:
-        # The range coder buffers up to cache_size + 4 bytes internally;
-        # reported positions therefore lag the bins by a few bytes, which
-        # only blurs MB bit-range attribution, never stream correctness.
+        """Bits flushed to the output so far.
+
+        The range coder buffers up to ``cache_size + 4`` bytes
+        internally, so reported positions lag the bins by a few bytes:
+        that blurs MB bit-range attribution, never stream correctness.
+        """
         return 8 * len(self._out)
 
     def finish(self) -> bytes:
+        """Flush the low register and return the complete payload."""
         if not self._finished:
             for _ in range(5):
                 self._shift_low()
@@ -294,9 +308,12 @@ class CabacDecoder(EntropyDecoder):
 
     @property
     def bits_consumed(self) -> int:
-        # The range register reads ahead (5 bytes at init, then byte by
-        # byte), so this over-reports actual consumption by up to a few
-        # bytes — a conservative bound for concealment salvage.
+        """Payload bits the code register has loaded so far.
+
+        The register reads ahead (5 bytes at init, then byte by byte),
+        so this over-reports actual consumption by up to a few bytes: a
+        conservative bound for concealment salvage.
+        """
         return 8 * self._pos
 
     def _next_byte(self) -> int:
@@ -325,6 +342,7 @@ class CabacDecoder(EntropyDecoder):
         return bit
 
     def decode_bypass(self) -> int:
+        """Decode one equiprobable bin; mirror of the encoder's."""
         self._range >>= 1
         if self._code >= self._range:
             self._code -= self._range
@@ -337,7 +355,10 @@ class CabacDecoder(EntropyDecoder):
         return bit
 
     def decode_bypass_bits(self, count: int) -> int:
-        # Bulk mirror of decode_bypass; bit-for-bit the same reads.
+        """Decode ``count`` bypass bins as one MSB-first integer.
+
+        Bulk mirror of :meth:`decode_bypass`: bit for bit the same reads.
+        """
         value = 0
         for _ in range(count):
             self._range >>= 1
@@ -353,7 +374,8 @@ class CabacDecoder(EntropyDecoder):
         return value
 
     def decode_flag(self, group: ContextGroup, variant: int = 0) -> bool:
-        # Inlined mirror of the encoder's flag fast path.
+        """Decode one flag as a single context bin (inlined mirror of
+        :meth:`CabacEncoder.encode_flag`)."""
         ctx = group.first_bin_context(variant)
         prob = self._probs[ctx]
         bound = (self._range >> _PROB_BITS) * prob
@@ -452,3 +474,183 @@ class CabacDecoder(EntropyDecoder):
         self._code = code
         self._pos = pos
         return value if value < max_value else max_value
+
+    def decode_residual(self, nnz_group: ContextGroup,
+                        sig_group: ContextGroup, level_group: ContextGroup,
+                        nnz_variant: int, cbp: Sequence[bool],
+                        ) -> Tuple[List[int], List[int]]:
+        """Fused mirror of :meth:`EntropyDecoder.decode_residual`.
+
+        Parses every coded block of the macroblock in one loop with the
+        register state (``rng``, ``code``, ``pos``) and the probability
+        table in locals: the decoder half of the encoder's
+        whole-macroblock ``encode_bins`` plan. It reads exactly the bins
+        of the per-symbol default, in the same order and under the same
+        contexts, so the returned coefficients, the adaptive state and
+        ``bits_consumed`` all match it on any input, damaged streams
+        included. A block alternates two steps: one unsigned value (the
+        nonzero count first, then each level) through a single TU +
+        EG0 decoder, then the significance flags up to the next
+        significant position.
+        """
+        positions: List[int] = []
+        levels: List[int] = []
+        if not (cbp[0] or cbp[1] or cbp[2] or cbp[3]):
+            return positions, levels
+        if (sig_group.variants < 16 or level_group.variants < 3
+                or nnz_group.max_value > 16):
+            # Layouts outside the loop's assumptions (a significance
+            # context per scan position, three level buckets, at most
+            # 16 coefficients a block) keep the per-symbol path.
+            return super().decode_residual(nnz_group, sig_group,
+                                           level_group, nnz_variant, cbp)
+        nnz_ladder = nnz_group.unary_ladder(nnz_variant)
+        nnz_cap = nnz_group.tu_cap
+        nnz_max = nnz_group.max_value
+        sig_base = sig_group.base
+        level_ladders = tuple(level_group.unary_ladder(bucket)
+                              for bucket in range(3))
+        level_cap = level_group.tu_cap
+        level_max = level_group.max_value
+        buckets = LEVEL_BUCKETS
+        zigzag = ZIGZAG_RASTER
+        max_prefix = MAX_EG_PREFIX
+        prob_bits = _PROB_BITS
+        move_bits = _MOVE_BITS
+        prob_one = _PROB_ONE
+        top = _TOP
+        mask32 = _MASK32
+        probs = self._probs
+        rng = self._range
+        code = self._code
+        data = self._data
+        pos = self._pos
+        data_len = len(data)
+        add_position = positions.append
+        add_level = levels.append
+        # Renormalization shifts ``rng`` without masking: it runs only
+        # while rng < 2**24, so rng << 8 stays within 32 bits.
+        for quadrant in range(4):
+            if not cbp[quadrant]:
+                continue
+            for block in QUADRANT_BLOCKS[quadrant]:
+                base = block << 4
+                ladder = nnz_ladder
+                cap = nnz_cap
+                position = -1  # -1 while the value read is the count
+                nonzero = found = 0
+                while True:
+                    # One unsigned value: truncated-unary context bins.
+                    value = 0
+                    while value < cap:
+                        ctx = ladder[value]
+                        prob = probs[ctx]
+                        bound = (rng >> prob_bits) * prob
+                        if code < bound:
+                            rng = bound
+                            probs[ctx] = prob + (
+                                (prob_one - prob) >> move_bits)
+                            while rng < top:
+                                code = ((code << 8) | (
+                                    data[pos] if pos < data_len else 0)
+                                        ) & mask32
+                                rng <<= 8
+                                pos += 1
+                            break
+                        code -= bound
+                        rng -= bound
+                        probs[ctx] = prob - (prob >> move_bits)
+                        while rng < top:
+                            code = ((code << 8) | (
+                                data[pos] if pos < data_len else 0)) & mask32
+                            rng <<= 8
+                            pos += 1
+                        value += 1
+                    else:
+                        # Exp-Golomb escape in bypass bins: a unary
+                        # length (bounded), then that many suffix bits.
+                        length = 0
+                        while True:
+                            rng >>= 1
+                            bit = code >= rng
+                            if bit:
+                                code -= rng
+                            while rng < top:
+                                code = ((code << 8) | (
+                                    data[pos] if pos < data_len else 0)
+                                        ) & mask32
+                                rng <<= 8
+                                pos += 1
+                            if not bit or length >= max_prefix:
+                                break
+                            length += 1
+                        suffix = 0
+                        for _ in range(length):
+                            rng >>= 1
+                            suffix <<= 1
+                            if code >= rng:
+                                code -= rng
+                                suffix |= 1
+                            while rng < top:
+                                code = ((code << 8) | (
+                                    data[pos] if pos < data_len else 0)
+                                        ) & mask32
+                                rng <<= 8
+                                pos += 1
+                        value += (1 << length) - 1 + suffix
+                    if position < 0:
+                        nonzero = value if value < nnz_max else nnz_max
+                        position = 0
+                    else:
+                        magnitude = (value if value < level_max
+                                     else level_max) + 1
+                        # Sign: one bypass bin.
+                        rng >>= 1
+                        if code >= rng:
+                            code -= rng
+                            magnitude = -magnitude
+                        while rng < top:
+                            code = ((code << 8) | (
+                                data[pos] if pos < data_len else 0)) & mask32
+                            rng <<= 8
+                            pos += 1
+                        add_position(base + zigzag[position])
+                        add_level(magnitude)
+                        found += 1
+                        position += 1
+                    if found == nonzero:
+                        break
+                    # Significance flags up to the next significant
+                    # position; none once the rest must all be set.
+                    while 16 - position != nonzero - found:
+                        ctx = sig_base + position
+                        prob = probs[ctx]
+                        bound = (rng >> prob_bits) * prob
+                        if code < bound:
+                            rng = bound
+                            probs[ctx] = prob + (
+                                (prob_one - prob) >> move_bits)
+                            while rng < top:
+                                code = ((code << 8) | (
+                                    data[pos] if pos < data_len else 0)
+                                        ) & mask32
+                                rng <<= 8
+                                pos += 1
+                            position += 1
+                            continue
+                        code -= bound
+                        rng -= bound
+                        probs[ctx] = prob - (prob >> move_bits)
+                        while rng < top:
+                            code = ((code << 8) | (
+                                data[pos] if pos < data_len else 0)) & mask32
+                            rng <<= 8
+                            pos += 1
+                        break
+                    # A level follows at ``position``.
+                    ladder = level_ladders[buckets[position]]
+                    cap = level_cap
+        self._range = rng
+        self._code = code
+        self._pos = pos
+        return positions, levels

@@ -43,7 +43,7 @@ class ContextModel:
         return self.groups[name]
 
     def __getstate__(self) -> dict:
-        """Pickle the layout, never the block-plan memo cache.
+        """Pickle the layout, never the syntax layer's memo caches.
 
         The syntax layer memoizes whole-block op plans on the model
         (``_block_plan_caches``), and the default model is shared by
@@ -53,10 +53,13 @@ class ContextModel:
         would make encoder/decoder (and store) pickles depend on
         encoding history. Campaign journals hash those pickles into the
         context digest; a history-dependent pickle would orphan any
-        journal on resume.
+        journal on resume. The resolved group tuple
+        (``_syntax_groups``) is left out for the same reason: it exists
+        only once something has been decoded.
         """
         state = self.__dict__.copy()
         state.pop("_block_plan_caches", None)
+        state.pop("_syntax_groups", None)
         return state
 
 

@@ -55,7 +55,11 @@ from .encoder import slice_bands
 from .motion import pad_reference
 from .neighbors import FrameMbState
 from .reconstruct import ReferenceSet, build_prediction, reconstruct_macroblock
-from .syntax import decode_macroblock, finalize_macroblock
+from .syntax import (
+    attach_coefficients,
+    decode_macroblock,
+    finalize_macroblock,
+)
 from .transform import reconstruct_residuals_many
 from .types import (
     FrameType,
@@ -521,21 +525,23 @@ class Decoder:
     ) -> Dict[int, np.ndarray]:
         """Reconstruct every coded residual of a frame in one batch.
 
-        Returns macroblock index (position in ``mbs``) -> 16x16 residual
-        for macroblocks that carry coded coefficients; others are absent.
+        Builds the coefficients of every parsed macroblock in one
+        :func:`~repro.codec.syntax.attach_coefficients` batch, then runs
+        one inverse transform over those whose coded block pattern is
+        nonempty. Returns macroblock index (position in ``mbs``) ->
+        16x16 residual for those; others are absent.
         """
-        indices: List[int] = []
-        stacks: List[np.ndarray] = []
-        qps: List[int] = []
-        for index, (decision, _, _, _) in enumerate(mbs):
-            if decision.coefficients is not None and any(decision.cbp):
-                indices.append(index)
-                stacks.append(decision.coefficients)
-                qps.append(decision.qp)
-        if not indices:
+        parsed = [(index, decision)
+                  for index, (decision, _, _, _) in enumerate(mbs)
+                  if decision.levels is not None]
+        batch = attach_coefficients([decision for _, decision in parsed])
+        rows = [row for row, (_, decision) in enumerate(parsed)
+                if any(decision.cbp)]
+        if not rows:
             return {}
-        residuals = reconstruct_residuals_many(np.stack(stacks), qps)
-        return {index: residuals[i] for i, index in enumerate(indices)}
+        residuals = reconstruct_residuals_many(
+            batch[rows], [parsed[row][1].qp for row in rows])
+        return {parsed[row][0]: residuals[i] for i, row in enumerate(rows)}
 
 
 def dependency_closure(encoded: EncodedVideo,

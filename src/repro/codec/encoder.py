@@ -20,8 +20,7 @@ instead of one per clip. A lone clip is a batch of one.
 What batches (one call for all N clips):
 
 * motion search — :class:`BatchFrameMotionSearch` streams the chunked
-  SAD pipeline of :class:`~repro.codec.motion.FrameMotionSearch` with a
-  leading clip axis;
+  SAD pipeline over the displacement window with a leading clip axis;
 * the whole P-frame inter mode decision — partition costs for every
   macroblock of every clip come out of the stacked SAD tables with a
   handful of argmins;
@@ -58,10 +57,9 @@ from .intra import choose_intra_mode, intra_dependencies
 from .motion import (
     _CHUNK_BUDGET_BYTES,
     _ENCODER_RECT_MASK,
-    _RECT_COLUMN,
     _TILE_ONES,
     MB_SIZE,
-    FrameMotionSearch,
+    RECT_COLUMN,
     compensate,
     reference_dependencies,
 )
@@ -113,18 +111,18 @@ def slice_bands(mb_rows: int, slices: int) -> List[Tuple[int, int]]:
 
 
 class BatchFrameMotionSearch:
-    """Stacked :class:`~repro.codec.motion.FrameMotionSearch` for N clips.
+    """Full-search motion estimation for every macroblock of N clips.
 
-    Runs the same chunked streaming pass over the displacement window
-    with a leading clip axis: per chunk, one strided window view, one
+    One chunked streaming pass over the displacement window with a
+    leading clip axis: per chunk, one strided window view, one
     abs-diff, one float32 tile reduction, and one float64 masked matmul
     cover every clip at once. All intermediates are exact integers in
-    their float dtypes (the bounds that make :class:`FrameMotionSearch`
-    exact do not depend on the batch shape), and the
-    first-minimum-within-chunk / strict-less-than cross-chunk merge
-    makes results chunk-size invariant — so the per-clip SAD tables
-    are bitwise identical to N separate :class:`FrameMotionSearch`
-    passes.
+    their float dtypes (the bounds do not depend on the batch shape),
+    and the first-minimum-within-chunk / strict-less-than cross-chunk
+    merge makes results chunk-size invariant — so the per-clip SAD
+    tables are bitwise identical to N separate one-clip passes
+    (``FrameMotionSearch`` in ``tests/codec/reference.py``) and to the
+    per-macroblock :class:`~repro.codec.motion.MacroblockSearch`.
     """
 
     def __init__(self, currents: np.ndarray, refs_padded: np.ndarray,
@@ -206,7 +204,7 @@ class BatchFrameMotionSearch:
         self._best_flat = best_flat.astype(np.int32)
 
     def clip_view(self, clip: int) -> "_ClipSearchView":
-        """A per-clip adapter duck-typing ``FrameMotionSearch``."""
+        """One clip's per-macroblock view of the SAD tables."""
         return _ClipSearchView(self._best_sad[clip], self._best_flat[clip],
                                self.search_range, self._diameter,
                                self._mb_cols)
@@ -214,8 +212,7 @@ class BatchFrameMotionSearch:
 
 class _ClipSearchView:
     """One clip's slice of a batched search, for the per-macroblock
-    B-frame decision: answers :meth:`mb_table` exactly like
-    :class:`~repro.codec.motion.FrameMotionSearch`."""
+    B-frame decision: :meth:`mb_table` answers one macroblock."""
 
     def __init__(self, best_sad: np.ndarray, best_flat: np.ndarray,
                  search_range: int, diameter: int, mb_cols: int) -> None:
@@ -241,10 +238,10 @@ class _ClipSearchView:
 
 # -- vectorized P-frame inter decision tables ---------------------------------
 
-_P16x16_COL = _RECT_COLUMN[(0, 0, 16, 16)]
-_P16x8_COLS = np.array([_RECT_COLUMN[r]
+_P16x16_COL = RECT_COLUMN[(0, 0, 16, 16)]
+_P16x8_COLS = np.array([RECT_COLUMN[r]
                         for r in PARTITION_RECTS[PartitionType.P16x8]])
-_P8x16_COLS = np.array([_RECT_COLUMN[r]
+_P8x16_COLS = np.array([RECT_COLUMN[r]
                         for r in PARTITION_RECTS[PartitionType.P8x16]])
 
 
@@ -262,7 +259,7 @@ def _sub_layout_tables():
             by_sub.append(sub_rects)
             counts[q, s] = len(sub_rects)
             for r, rect in enumerate(sub_rects):
-                cols[q, s, r] = _RECT_COLUMN[rect]
+                cols[q, s, r] = RECT_COLUMN[rect]
                 valid[q, s, r] = 1.0
         rects.append(by_sub)
     return cols, valid, counts, rects
@@ -335,11 +332,11 @@ class _FrameInterTables:
                 sub_types.append(_SUBTYPE_ORDER[s])
                 for rect in _SUB_RECTS[q][s]:
                     partitions.append(InterPartition(
-                        rect=rect, mv=self._mv(flats[_RECT_COLUMN[rect]])))
+                        rect=rect, mv=self._mv(flats[RECT_COLUMN[rect]])))
         else:
             partitions = [
                 InterPartition(rect=rect,
-                               mv=self._mv(flats[_RECT_COLUMN[rect]]))
+                               mv=self._mv(flats[RECT_COLUMN[rect]]))
                 for rect in PARTITION_RECTS[ptype]
             ]
         return MacroblockDecision(
@@ -861,7 +858,7 @@ class Encoder:
 
     def _decide_inter(self, plan: FramePlan, current: np.ndarray,
                       recon: np.ndarray, references: ReferenceSet,
-                      searches: Dict[PredictionDirection, FrameMotionSearch],
+                      searches: Dict[PredictionDirection, _ClipSearchView],
                       state: FrameMbState, mb_row: int, mb_col: int,
                       min_mb_row: int, qp: int,
                       pred_mv: MotionVector) -> MacroblockDecision:
@@ -877,7 +874,7 @@ class Encoder:
         def best_for_rect(rect):
             """(mv, direction, cost, mv_backward) of the best candidate:
             forward, backward, or the bidirectional average."""
-            column = FrameMotionSearch.rect_column(rect)
+            column = RECT_COLUMN[rect]
             per_direction = {}
             best = None
             for direction, table in tables.items():

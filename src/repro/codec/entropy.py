@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from ..errors import BitstreamError
+from .transform import ZIGZAG_FLAT_INDEX
 
 #: Longest Exp-Golomb prefix a decoder will follow before giving up and
 #: clamping. Bounds worst-case work on corrupted streams.
@@ -29,6 +31,22 @@ MAX_EG_PREFIX = 24
 #: :meth:`ContextGroup.uint_op_table`; larger values are planned on the
 #: fly (they are rare: quantized levels are overwhelmingly small).
 UINT_OP_TABLE_LIMIT = 128
+
+# ----------------------------------------------------------------------
+# Residual layout
+# ----------------------------------------------------------------------
+
+#: MB-raster indices of the four 4x4 blocks of each 8x8 quadrant, in
+#: coding order: a quadrant's blocks are coded raster order within it.
+QUADRANT_BLOCKS = ((0, 1, 4, 5), (2, 3, 6, 7), (8, 9, 12, 13),
+                   (10, 11, 14, 15))
+
+#: Level context variant per zigzag scan position: DC, low, high.
+LEVEL_BUCKETS = (0,) + (1,) * 5 + (2,) * 10
+
+#: Row-major position within a 4x4 block of each zigzag scan position,
+#: as plain ints for the residual parse loops.
+ZIGZAG_RASTER = tuple(int(index) for index in ZIGZAG_FLAT_INDEX)
 
 
 def uint_bin_ops(value: int, ladder, tu_cap: int) -> tuple:
@@ -80,6 +98,7 @@ class ContextGroup:
 
     @property
     def size(self) -> int:
+        """Contexts the group occupies: first-bin variants plus tail."""
         return self.variants + self.tail
 
     def __getstate__(self) -> dict:
@@ -97,6 +116,11 @@ class ContextGroup:
                               "max_value")}
 
     def first_bin_context(self, variant: int) -> int:
+        """Context index of the first bin under neighbor ``variant``.
+
+        Raises :class:`BitstreamError` for a variant outside
+        ``0..variants-1``.
+        """
         if not 0 <= variant < self.variants:
             raise BitstreamError(
                 f"context variant {variant} out of range 0..{self.variants - 1}"
@@ -279,15 +303,15 @@ class EntropyDecoder(abc.ABC):
 
     @abc.abstractmethod
     def decode_flag(self, group: ContextGroup, variant: int = 0) -> bool:
-        ...
+        """Decode one binary flag coded under ``group``'s ``variant``."""
 
     @abc.abstractmethod
     def decode_bypass(self) -> int:
-        ...
+        """Decode one equiprobable raw bit (signs)."""
 
     @abc.abstractmethod
     def _decode_context_bin(self, ctx: int) -> int:
-        ...
+        """Decode one bin under the given context index."""
 
     # -- bulk bypass ----------------------------------------------------
 
@@ -317,6 +341,8 @@ class EntropyDecoder(abc.ABC):
         return min(value, group.max_value)
 
     def decode_sint(self, group: ContextGroup, variant: int = 0) -> int:
+        """Decode a signed integer: clamped magnitude, then a bypass
+        sign bin when the magnitude is nonzero."""
         magnitude = self.decode_uint(group, variant)
         if magnitude and self.decode_bypass():
             return -magnitude
@@ -328,3 +354,61 @@ class EntropyDecoder(abc.ABC):
             length += 1
         suffix = self.decode_bypass_bits(length)
         return (1 << length) - 1 + suffix
+
+    # -- residual ---------------------------------------------------------
+
+    def decode_residual(self, nnz_group: ContextGroup,
+                        sig_group: ContextGroup, level_group: ContextGroup,
+                        nnz_variant: int, cbp: Sequence[bool],
+                        ) -> Tuple[List[int], List[int]]:
+        """Parse the residual of one macroblock.
+
+        For each quadrant flagged in ``cbp``, in quadrant order, each of
+        its four 4x4 blocks (:data:`QUADRANT_BLOCKS`) carries a nonzero
+        count (``nnz_group`` under ``nnz_variant``), a significance map
+        (``sig_group``, one variant per zigzag position, skipped once
+        the remaining positions must all be set), and per significant
+        position a level magnitude minus one (``level_group`` under its
+        :data:`LEVEL_BUCKETS` variant) followed by a bypass sign bin.
+
+        Returns the macroblock's nonzero coefficients, sparse and in
+        coding order, as two parallel lists: flat raster positions
+        (``16 * block + 4 * row + col``, blocks in MB raster order) and
+        signed levels. The nonzero count is their length; every other
+        coefficient is zero.
+
+        This default dispatches symbol by symbol; backends override it
+        with one loop that reads exactly the same bins, so overriding
+        never changes a decoded value or the coder state it leaves.
+        """
+        positions: List[int] = []
+        levels: List[int] = []
+        decode_uint = self.decode_uint
+        decode_flag = self.decode_flag
+        decode_bypass = self.decode_bypass
+        for quadrant in range(4):
+            if not cbp[quadrant]:
+                continue
+            for block in QUADRANT_BLOCKS[quadrant]:
+                base = 16 * block
+                nonzero = decode_uint(nnz_group, variant=nnz_variant)
+                found = 0
+                for position in range(16):
+                    remaining = nonzero - found
+                    if remaining == 0:
+                        break
+                    if 16 - position == remaining:
+                        significant = True
+                    else:
+                        significant = decode_flag(sig_group,
+                                                  variant=position)
+                    if significant:
+                        magnitude = decode_uint(
+                            level_group,
+                            variant=LEVEL_BUCKETS[position]) + 1
+                        if decode_bypass():
+                            magnitude = -magnitude
+                        positions.append(base + ZIGZAG_RASTER[position])
+                        levels.append(magnitude)
+                        found += 1
+        return positions, levels

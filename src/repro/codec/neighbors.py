@@ -14,9 +14,15 @@ the slice's first MB row, and the left neighbor stops at column 0.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .types import MacroblockMode, MotionVector
+
+_SKIP = int(MacroblockMode.SKIP)
+_INTER = int(MacroblockMode.INTER)
+_INTRA = int(MacroblockMode.INTRA)
+#: Modes whose stored vector takes part in motion-vector prediction.
+_MOTION_MODES = (_INTER, _SKIP)
 
 
 class FrameMbState:
@@ -66,15 +72,6 @@ class FrameMbState:
             and self.modes[mb_row][mb_col] != self.UNSET
         )
 
-    def _mode_at(self, mb_row: int, mb_col: int,
-                 min_mb_row: int) -> Optional[int]:
-        if (min_mb_row <= mb_row < self.mb_rows
-                and 0 <= mb_col < self.mb_cols):
-            mode = self.modes[mb_row][mb_col]
-            if mode != self.UNSET:
-                return mode
-        return None
-
     # -- metadata prediction ----------------------------------------------
 
     def predict_mv(self, mb_row: int, mb_col: int,
@@ -87,56 +84,59 @@ class FrameMbState:
         otherwise the component-wise median is taken with intra or
         unavailable neighbors contributing (0, 0).
         """
-        positions = [
-            (mb_row, mb_col - 1),       # A
-            (mb_row - 1, mb_col),       # B
-            (mb_row - 1, mb_col + 1),   # C
-        ]
-        if not self._available(*positions[2], min_mb_row):
-            positions[2] = (mb_row - 1, mb_col - 1)  # D fallback
-        candidates: List[MotionVector] = []
-        inter_vectors: List[MotionVector] = []
-        for row, col in positions:
-            mode = self._mode_at(row, col, min_mb_row)
-            if mode in (int(MacroblockMode.INTER), int(MacroblockMode.SKIP)):
-                mv = self.mvs[row][col]
-                vector = MotionVector(mv[0], mv[1])
-                candidates.append(vector)
-                inter_vectors.append(vector)
-            else:
-                candidates.append(MotionVector(0, 0))
+        modes = self.modes
+        rows = self.mb_rows
+        cols = self.mb_cols
+        above = mb_row - 1
+        corner = mb_col + 1
+        if not (min_mb_row <= above < rows and 0 <= corner < cols
+                and modes[above][corner] != self.UNSET):
+            corner = mb_col - 1  # D fallback
+        inter_vectors: List[Tuple[int, int]] = []
+        for row, col in ((mb_row, mb_col - 1), (above, mb_col),
+                         (above, corner)):
+            if (min_mb_row <= row < rows and 0 <= col < cols
+                    and modes[row][col] in _MOTION_MODES):
+                inter_vectors.append(self.mvs[row][col])
         if not inter_vectors:
             return MotionVector(0, 0)
         if len(inter_vectors) == 1:
-            return inter_vectors[0]
-        dys = sorted(c.dy for c in candidates)
-        dxs = sorted(c.dx for c in candidates)
+            return MotionVector(*inter_vectors[0])
+        if len(inter_vectors) == 2:
+            inter_vectors.append((0, 0))
+        dys = sorted(vector[0] for vector in inter_vectors)
+        dxs = sorted(vector[1] for vector in inter_vectors)
         return MotionVector(dys[1], dxs[1])
 
     # -- context variant selection ------------------------------------------
 
-    def _neighbor_modes(self, mb_row: int, mb_col: int,
-                        min_mb_row: int) -> List[Optional[int]]:
-        return [
-            self._mode_at(mb_row, mb_col - 1, min_mb_row),
-            self._mode_at(mb_row - 1, mb_col, min_mb_row),
-        ]
+    def _neighbor_count(self, mb_row: int, mb_col: int, min_mb_row: int,
+                        mode: int) -> int:
+        """0..2: how many of neighbors A (left) and B (above) are
+        available and coded as ``mode``."""
+        count = 0
+        if (min_mb_row <= mb_row < self.mb_rows
+                and 0 < mb_col <= self.mb_cols
+                and self.modes[mb_row][mb_col - 1] == mode):
+            count += 1
+        if (min_mb_row < mb_row <= self.mb_rows
+                and 0 <= mb_col < self.mb_cols
+                and self.modes[mb_row - 1][mb_col] == mode):
+            count += 1
+        return count
 
     def skip_context(self, mb_row: int, mb_col: int, min_mb_row: int) -> int:
         """0..2: number of A/B neighbors coded as skip."""
-        modes = self._neighbor_modes(mb_row, mb_col, min_mb_row)
-        return sum(1 for m in modes if m == int(MacroblockMode.SKIP))
+        return self._neighbor_count(mb_row, mb_col, min_mb_row, _SKIP)
 
     def intra_context(self, mb_row: int, mb_col: int, min_mb_row: int) -> int:
         """0..2: number of A/B neighbors coded as intra."""
-        modes = self._neighbor_modes(mb_row, mb_col, min_mb_row)
-        return sum(1 for m in modes if m == int(MacroblockMode.INTRA))
+        return self._neighbor_count(mb_row, mb_col, min_mb_row, _INTRA)
 
     def partition_context(self, mb_row: int, mb_col: int,
                           min_mb_row: int) -> int:
         """0..2: number of A/B neighbors coded as (non-skip) inter."""
-        modes = self._neighbor_modes(mb_row, mb_col, min_mb_row)
-        return sum(1 for m in modes if m == int(MacroblockMode.INTER))
+        return self._neighbor_count(mb_row, mb_col, min_mb_row, _INTER)
 
     def mvd_context(self, mb_row: int, mb_col: int, min_mb_row: int) -> int:
         """0..2: bucket of neighboring motion activity (H.264's ctx rule

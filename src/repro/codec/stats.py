@@ -145,9 +145,8 @@ def inspect_video(encoded: EncodedVideo) -> VideoStats:
                             frame_stats.total_mv_magnitude += \
                                 partition.mv.magnitude
                             frame_stats.inter_partitions += 1
-                    if decision.coefficients is not None:
-                        frame_stats.total_nonzero_coefficients += int(
-                            np.count_nonzero(decision.coefficients))
+                    frame_stats.total_nonzero_coefficients += \
+                        decision.nonzero
                     finalize_macroblock(state, decision, mb_row, mb_col)
         stats.append(frame_stats)
     return VideoStats(frames=stats)

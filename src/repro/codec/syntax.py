@@ -20,20 +20,21 @@ Element order per macroblock:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import BitstreamError, EncoderError
 from .contexts import ContextModel
-from .entropy import EntropyDecoder, EntropyEncoder, uint_bin_ops
-from .neighbors import FrameMbState
-from .transform import (
-    MAX_QP,
-    MIN_QP,
-    ZIGZAG_FLAT_INDEX,
-    ZIGZAG_FLAT_INVERSE,
+from .entropy import (
+    LEVEL_BUCKETS,
+    QUADRANT_BLOCKS,
+    EntropyDecoder,
+    EntropyEncoder,
+    uint_bin_ops,
 )
+from .neighbors import FrameMbState
+from .transform import MAX_QP, MIN_QP, ZIGZAG_FLAT_INDEX
 from .types import (
     PARTITION_RECTS,
     QUADRANT_ORIGINS,
@@ -66,25 +67,39 @@ def partition_rectangles(
     return rects
 
 
-#: Map a quadrant index and in-quadrant block index to the MB-raster
-#: index of its 4x4 coefficient block.
-def _block_index(quadrant: int, block: int) -> int:
-    qy, qx = QUADRANT_ORIGINS[quadrant]
-    row = qy // 4 + block // 2
-    col = qx // 4 + block % 2
-    return row * 4 + col
+#: Context groups the grammar reads, in :func:`_syntax_groups` order.
+_GROUP_NAMES = ("skip_flag", "is_intra", "intra_mode", "partition_type",
+                "sub_type", "direction", "mvd_x", "mvd_y", "dqp", "cbp",
+                "nnz", "sig", "level")
+
+#: Enum members by decoded value; every group's ``max_value`` clamp
+#: keeps decoded values inside these.
+_INTRA_MODES = tuple(IntraMode)
+_PARTITION_TYPES = tuple(PartitionType)
+_SUB_TYPES = tuple(SubPartitionType)
+_DIRECTIONS = tuple(PredictionDirection)
+
+# Enum members the parse compares against, bound once: a class
+# attribute lookup on an enum costs several plain global loads.
+_I_FRAME = FrameType.I
+_B_FRAME = FrameType.B
+_FORWARD = PredictionDirection.FORWARD
+_BIDIRECTIONAL = PredictionDirection.BIDIRECTIONAL
+_P8x8 = PartitionType.P8x8
 
 
-def _level_bucket(position: int) -> int:
-    if position == 0:
-        return 0
-    if position < 6:
-        return 1
-    return 2
+def _syntax_groups(model: ContextModel) -> tuple:
+    """The model's groups in :data:`_GROUP_NAMES` order, resolved once.
 
-
-#: ``_level_bucket`` for every scan position, as a table for the hot loop.
-_LEVEL_BUCKETS = tuple(_level_bucket(position) for position in range(16))
+    Memoized on the model, which leaves it out of pickles like the
+    block-plan caches: name lookups per macroblock would cost more than
+    several of the symbols they select.
+    """
+    groups = model.__dict__.get("_syntax_groups")
+    if groups is None:
+        groups = tuple(model[name] for name in _GROUP_NAMES)
+        model._syntax_groups = groups
+    return groups
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +144,7 @@ def _block_ops(plan_cache, nnz_ops, sig_base, level_tables, level_group,
             append(((sig_base + position) << 1) | (1 if significant else 0))
         if significant:
             magnitude = abs(value) - 1
-            table = level_tables[_LEVEL_BUCKETS[position]]
+            table = level_tables[LEVEL_BUCKETS[position]]
             if magnitude < len(table):
                 extend(table[magnitude])
             else:
@@ -140,39 +155,13 @@ def _block_ops(plan_cache, nnz_ops, sig_base, level_tables, level_group,
                         f"{level_group.max_value}")
                 extend(uint_bin_ops(
                     magnitude,
-                    level_group.unary_ladder(_LEVEL_BUCKETS[position]),
+                    level_group.unary_ladder(LEVEL_BUCKETS[position]),
                     level_group.tu_cap))
             append(-2 if value < 0 else -1)
             found += 1
     if len(plan_cache) < _PLAN_CACHE_LIMIT:
         plan_cache[key] = ops
     return ops
-
-
-def _decode_block(dec: EntropyDecoder, nnz_group, sig_group, level_group,
-                  nnz_variant: int) -> List[int]:
-    vector = [0] * 16
-    decode_uint = dec.decode_uint
-    decode_flag = dec.decode_flag
-    decode_bypass = dec.decode_bypass
-    nonzero = decode_uint(nnz_group, variant=nnz_variant)
-    found = 0
-    for position in range(16):
-        remaining = nonzero - found
-        if remaining == 0:
-            break
-        if 16 - position == remaining:
-            significant = True
-        else:
-            significant = decode_flag(sig_group, variant=position)
-        if significant:
-            magnitude = decode_uint(level_group,
-                                    variant=_LEVEL_BUCKETS[position]) + 1
-            if decode_bypass():
-                magnitude = -magnitude
-            vector[position] = magnitude
-            found += 1
-    return vector
 
 
 # ----------------------------------------------------------------------
@@ -263,8 +252,7 @@ def encode_macroblock(enc: EntropyEncoder, model: ContextModel,
         for quadrant in range(4):
             if not decision.cbp[quadrant]:
                 continue
-            for block in range(4):
-                index = _block_index(quadrant, block)
+            for index in QUADRANT_BLOCKS[quadrant]:
                 extend(_block_ops(plan_cache, nnz_ops, sig_base,
                                   level_tables, level_group,
                                   vectors[index]))
@@ -279,12 +267,18 @@ def decode_macroblock(dec: EntropyDecoder, model: ContextModel,
     """Parse one macroblock; mirrors :func:`encode_macroblock` exactly.
 
     Never fails on corrupted input: every decoded value is clamped to
-    its legal range and every loop is bounded.
+    its legal range and every loop is bounded. The residual comes back
+    sparse in the decision's ``levels``, from one
+    :meth:`~repro.codec.entropy.EntropyDecoder.decode_residual` call;
+    :func:`attach_coefficients` builds ``coefficients`` from a batch.
     """
-    inter_frame = frame_type != FrameType.I
-    if inter_frame:
-        skip_variant = state.skip_context(mb_row, mb_col, min_mb_row)
-        if dec.decode_flag(model["skip_flag"], variant=skip_variant):
+    (skip_group, intra_group, intra_mode_group, partition_group,
+     sub_group, direction_group, mvd_x_group, mvd_y_group, dqp_group,
+     cbp_group, nnz_group, sig_group, level_group) = _syntax_groups(model)
+    decode_flag = dec.decode_flag
+    if frame_type != _I_FRAME:
+        if decode_flag(skip_group,
+                       state.skip_context(mb_row, mb_col, min_mb_row)):
             pred_mv = state.predict_mv(mb_row, mb_col, min_mb_row)
             return MacroblockDecision(
                 mode=MacroblockMode.SKIP,
@@ -292,8 +286,8 @@ def decode_macroblock(dec: EntropyDecoder, model: ContextModel,
                 partition_type=PartitionType.P16x16,
                 partitions=[InterPartition(rect=(0, 0, 16, 16), mv=pred_mv)],
             )
-        intra_variant = state.intra_context(mb_row, mb_col, min_mb_row)
-        is_intra = dec.decode_flag(model["is_intra"], variant=intra_variant)
+        is_intra = decode_flag(
+            intra_group, state.intra_context(mb_row, mb_col, min_mb_row))
     else:
         is_intra = True
 
@@ -302,35 +296,31 @@ def decode_macroblock(dec: EntropyDecoder, model: ContextModel,
     sub_types: Optional[List[SubPartitionType]] = None
     partitions: List[InterPartition] = []
     if is_intra:
-        intra_mode = IntraMode(dec.decode_uint(model["intra_mode"]))
+        intra_mode = _INTRA_MODES[dec.decode_uint(intra_mode_group)]
     else:
-        part_variant = state.partition_context(mb_row, mb_col, min_mb_row)
-        partition_type = PartitionType(
-            dec.decode_uint(model["partition_type"], variant=part_variant))
-        if partition_type == PartitionType.P8x8:
-            sub_types = [
-                SubPartitionType(dec.decode_uint(model["sub_type"]))
-                for _ in range(4)
-            ]
+        decode_sint = dec.decode_sint
+        partition_type = _PARTITION_TYPES[dec.decode_uint(
+            partition_group,
+            state.partition_context(mb_row, mb_col, min_mb_row))]
+        if partition_type == _P8x8:
+            sub_types = [_SUB_TYPES[dec.decode_uint(sub_group)]
+                         for _ in range(4)]
         pred_mv = state.predict_mv(mb_row, mb_col, min_mb_row)
         mvd_variant = state.mvd_context(mb_row, mb_col, min_mb_row)
-        previous_direction = PredictionDirection.FORWARD
+        previous_direction = _FORWARD
         for rect in partition_rectangles(partition_type, sub_types):
-            direction = PredictionDirection.FORWARD
-            if frame_type == FrameType.B:
-                variant = 0 if previous_direction == \
-                    PredictionDirection.FORWARD else 1
-                direction = PredictionDirection(
-                    dec.decode_uint(model["direction"], variant=variant))
+            direction = _FORWARD
+            if frame_type == _B_FRAME:
+                variant = 0 if previous_direction == _FORWARD else 1
+                direction = _DIRECTIONS[dec.decode_uint(direction_group,
+                                                        variant)]
                 previous_direction = direction
-            mvd_x = dec.decode_sint(model["mvd_x"], variant=mvd_variant)
-            mvd_y = dec.decode_sint(model["mvd_y"], variant=mvd_variant)
+            mvd_x = decode_sint(mvd_x_group, mvd_variant)
+            mvd_y = decode_sint(mvd_y_group, mvd_variant)
             mv_backward = None
-            if direction == PredictionDirection.BIDIRECTIONAL:
-                back_x = dec.decode_sint(model["mvd_x"],
-                                         variant=mvd_variant)
-                back_y = dec.decode_sint(model["mvd_y"],
-                                         variant=mvd_variant)
+            if direction == _BIDIRECTIONAL:
+                back_x = decode_sint(mvd_x_group, mvd_variant)
+                back_y = decode_sint(mvd_y_group, mvd_variant)
                 mv_backward = pred_mv + MotionVector(back_y, back_x)
             partitions.append(InterPartition(
                 rect=rect,
@@ -339,40 +329,51 @@ def decode_macroblock(dec: EntropyDecoder, model: ContextModel,
                 mv_backward=mv_backward,
             ))
 
-    dqp = dec.decode_sint(model["dqp"], variant=state.dqp_context())
+    dqp = dec.decode_sint(dqp_group, state.dqp_context())
     qp = min(max(state.prev_qp + dqp, MIN_QP), MAX_QP)
 
-    cbp = tuple(
-        dec.decode_flag(model["cbp"], variant=quadrant)
-        for quadrant in range(4)
-    )
-    vectors = [[0] * 16 for _ in range(16)]
-    nnz_variant = state.nnz_context(mb_row, mb_col, min_mb_row)
-    nnz_group = model["nnz"]
-    sig_group = model["sig"]
-    level_group = model["level"]
-    for quadrant in range(4):
-        if not cbp[quadrant]:
-            continue
-        for block in range(4):
-            index = _block_index(quadrant, block)
-            vectors[index] = _decode_block(dec, nnz_group, sig_group,
-                                           level_group, nnz_variant)
-    # One batched inverse zigzag for the whole macroblock.
-    coefficients = np.array(vectors, dtype=np.int32)[
-        :, ZIGZAG_FLAT_INVERSE].reshape(16, 4, 4)
+    cbp = (decode_flag(cbp_group, 0), decode_flag(cbp_group, 1),
+           decode_flag(cbp_group, 2), decode_flag(cbp_group, 3))
+    levels = dec.decode_residual(
+        nnz_group, sig_group, level_group,
+        state.nnz_context(mb_row, mb_col, min_mb_row), cbp)
 
-    mode = MacroblockMode.INTRA if is_intra else MacroblockMode.INTER
     return MacroblockDecision(
-        mode=mode,
+        mode=MacroblockMode.INTRA if is_intra else MacroblockMode.INTER,
         qp=qp,
         intra_mode=intra_mode,
         partition_type=partition_type,
         sub_types=sub_types,
         partitions=partitions,
-        coefficients=coefficients,
-        cbp=cbp,  # type: ignore[arg-type]
+        cbp=cbp,
+        levels=levels,
     )
+
+
+def attach_coefficients(decisions: Sequence[MacroblockDecision]
+                        ) -> np.ndarray:
+    """Build the parsed coefficients of ``decisions`` in one batch.
+
+    Scatters every decision's sparse ``levels`` into one zeroed
+    ``(N, 16, 4, 4)`` int32 array, row ``i`` for ``decisions[i]``, and
+    points each decision's ``coefficients`` at its row (a view). One
+    allocation and one scatter per frame replace an array conversion
+    per macroblock. Every decision must carry ``levels``.
+    """
+    batch = np.zeros((len(decisions), 16, 4, 4), dtype=np.int32)
+    positions: List[int] = []
+    values: List[int] = []
+    counts: List[int] = []
+    for row, decision in enumerate(decisions):
+        where, levels = decision.levels
+        positions.extend(where)
+        values.extend(levels)
+        counts.append(len(levels))
+        decision.coefficients = batch[row]
+    if values:
+        offsets = np.repeat(np.arange(0, 256 * len(decisions), 256), counts)
+        batch.reshape(-1)[offsets + np.array(positions)] = values
+    return batch
 
 
 def finalize_macroblock(state: FrameMbState, decision: MacroblockDecision,
@@ -382,11 +383,7 @@ def finalize_macroblock(state: FrameMbState, decision: MacroblockDecision,
         representative_mv = MotionVector(0, 0)
     else:
         representative_mv = decision.partitions[0].mv
-    if decision.coefficients is None:
-        total_nonzero = 0
-    else:
-        total_nonzero = int(np.count_nonzero(decision.coefficients))
     dqp = 0 if decision.mode == MacroblockMode.SKIP else (
         decision.qp - state.prev_qp)
     state.record(mb_row, mb_col, decision.mode, representative_mv,
-                 decision.qp, dqp, total_nonzero)
+                 decision.qp, dqp, decision.nonzero)

@@ -92,11 +92,6 @@ def inverse_transform(coefficients: np.ndarray) -> np.ndarray:
     return np.rint(spatial).astype(np.int32)
 
 
-def transform_and_quantize(residual_mb: np.ndarray, qp: int) -> np.ndarray:
-    """16x16 residual -> (16, 4, 4) quantized levels."""
-    return quantize(forward_transform(blockify(residual_mb)), qp)
-
-
 def reconstruct_residual(levels: np.ndarray, qp: int) -> np.ndarray:
     """(16, 4, 4) quantized levels -> 16x16 reconstructed residual."""
     return deblockify(inverse_transform(dequantize(levels, qp)))
@@ -106,11 +101,12 @@ def transform_and_quantize_many(residual_stack: np.ndarray,
                                 qps) -> np.ndarray:
     """(M, 16, 16) residuals with per-MB QPs -> (M, 16, 4, 4) levels.
 
-    Bitwise identical to :func:`transform_and_quantize` per macroblock:
-    the batched blockify applies the same axis permutation per item, the
-    integer einsum is exact at any batch size, and each QP's divisor is
-    the same ``step * SCALE`` float64 product the scalar path divides
-    by.
+    Bitwise identical to ``quantize(forward_transform(blockify(mb)),
+    qp)`` per macroblock (``transform_and_quantize`` in
+    ``tests/codec/reference.py``): the batched blockify applies the
+    same axis permutation per item, the integer einsum is exact at any
+    batch size, and each QP's divisor is the same ``step * SCALE``
+    float64 product the scalar path divides by.
     """
     stack = np.asarray(residual_stack)
     count = stack.shape[0]

@@ -11,6 +11,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 MB_SIZE = 16
 
 
@@ -141,6 +143,22 @@ class MacroblockDecision:
     coefficients: Optional[object] = None  # np.ndarray (16, 4, 4) int32
     #: Per-quadrant coded flags (coded block pattern).
     cbp: Tuple[bool, bool, bool, bool] = (False, False, False, False)
+    #: The bitstream parse's nonzero coefficients as (flat raster
+    #: positions, levels); see ``EntropyDecoder.decode_residual``.
+    #: ``syntax.attach_coefficients`` turns a frame's worth into
+    #: ``coefficients`` in one batch. None for encoder decisions and
+    #: skipped macroblocks.
+    levels: Optional[Tuple[List[int], List[int]]] = None
+
+    @property
+    def nonzero(self) -> int:
+        """Number of nonzero coefficients: counted by the parse when it
+        produced ``levels``, else counted in ``coefficients``."""
+        if self.levels is not None:
+            return len(self.levels[1])
+        if self.coefficients is None:
+            return 0
+        return int(np.count_nonzero(self.coefficients))
 
 
 @dataclass

@@ -7,6 +7,12 @@ in ``tests/codec/test_vectorized_equivalence.py`` can assert, input by
 input, that vectorization changed only the speed of the codec and not a
 single output bit.
 
+Two entries are not loop-level: :func:`transform_and_quantize` and
+:class:`FrameMotionSearch` are the per-macroblock and per-clip forms of
+the encoder's batched transform and motion search. The encoder no
+longer runs them; they stay here as the oracles the batched kernels
+and the reference encoder (``reference_encoder.py``) are checked with.
+
 Keep these boring. When a production kernel changes behaviour on
 purpose, change the matching reference here in the same commit and
 refresh the golden digests; if a test disagrees with its reference and
@@ -20,8 +26,24 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.codec.intra import MODE_ORDER, predict_intra
-from repro.codec.transform import CF, SCALE, inverse_transform, quant_step
+from repro.codec.motion import (
+    _CHUNK_BUDGET_BYTES,
+    _ENCODER_RECT_MASK,
+    _TILE_ONES,
+    MB_SIZE,
+    RECT_COLUMN,
+)
+from repro.codec.transform import (
+    CF,
+    SCALE,
+    blockify,
+    forward_transform,
+    inverse_transform,
+    quant_step,
+    quantize,
+)
 from repro.codec.types import IntraMode, MotionVector
+from repro.errors import EncoderError
 
 
 def sad_scalar(block_a: np.ndarray, block_b: np.ndarray) -> int:
@@ -123,6 +145,154 @@ def reconstruct_residual_block_scalar(levels: np.ndarray,
     return inverse_transform(dequantized[np.newaxis])[0]
 
 
+def transform_and_quantize(residual_mb: np.ndarray, qp: int) -> np.ndarray:
+    """16x16 residual -> (16, 4, 4) quantized levels, one macroblock.
+
+    The per-macroblock form of ``transform_and_quantize_many``.
+    """
+    return quantize(forward_transform(blockify(residual_mb)), qp)
+
+
+class FrameMotionSearch:
+    """Full-search SAD oracle for every macroblock of one frame.
+
+    The one-clip form of the encoder's ``BatchFrameMotionSearch``,
+    kept as its oracle: the batch must answer exactly what N of these
+    do.
+
+    Computes, in one streaming pass over the displacement window, the
+    lowest-cost motion vector (cost = SAD + lambda * |mv|_1) and its raw
+    SAD for all macroblocks and all ``ENCODER_RECTS`` partition
+    rectangles at once. Answers are bitwise identical to running
+    :meth:`~repro.codec.motion.MacroblockSearch.best_mv` per macroblock and rectangle —
+    including argmin tie-breaking, which both resolve to the first
+    candidate in row-major displacement order.
+
+    Args:
+        current: the full frame being encoded (uint8, MB-aligned).
+        ref_padded: reference frame padded by at least ``search_range``.
+        pad: the padding amount used to build ``ref_padded``.
+        search_range: displacement radius R; candidates span [-R, R]^2.
+        mv_cost_lambda: SAD penalty per pixel of motion-vector deviation.
+    """
+
+    def __init__(self, current: np.ndarray, ref_padded: np.ndarray,
+                 pad: int, search_range: int,
+                 mv_cost_lambda: float) -> None:
+        if pad < search_range:
+            raise EncoderError(
+                f"padding {pad} smaller than search range {search_range}"
+            )
+        height, width = current.shape
+        if height % MB_SIZE or width % MB_SIZE:
+            raise EncoderError(
+                f"frame {height}x{width} is not macroblock-aligned"
+            )
+        self.search_range = search_range
+        self._mb_cols = width // MB_SIZE
+        diameter = 2 * search_range + 1
+        self._diameter = diameter
+        num_mbs = (height // MB_SIZE) * self._mb_cols
+        # float64 mask routes the per-displacement rect reduction through
+        # BLAS; tile SADs are <= 16*4080 so every sum is an exactly
+        # representable integer and results match the int64 matmul bit
+        # for bit.
+        mask = _ENCODER_RECT_MASK.astype(np.float64)
+        source = current.astype(np.int16)
+        tile_rows = height // 4
+        tile_cols = width // 4
+        mb_rows_count = tile_rows // 4
+
+        num_rects = _ENCODER_RECT_MASK.shape[1]
+        offsets = np.abs(np.arange(-search_range, search_range + 1))
+        penalty_flat = (mv_cost_lambda * (
+            offsets[:, None] + offsets[None, :]).reshape(-1)
+        ).astype(np.float64)
+        band_full = ref_padded[
+            pad - search_range:pad + search_range + height,
+            pad - search_range:pad + search_range + width]
+
+        # dy rows are processed in chunks sized to keep the per-chunk
+        # diff buffers (int16 + float32 passes, ~6 bytes per candidate
+        # pixel) inside a few MB of cache — full batching thrashes at
+        # larger frames, a per-row loop pays numpy call overhead 2R+1
+        # times.
+        row_bytes = 6 * diameter * height * width
+        chunk = max(1, min(diameter, _CHUNK_BUDGET_BYTES // row_bytes))
+
+        best_cost = np.full((num_mbs, num_rects), np.inf)
+        best_sad = np.zeros((num_mbs, num_rects), dtype=np.float64)
+        best_flat = np.zeros((num_mbs, num_rects), dtype=np.int64)
+        for start in range(0, diameter, chunk):
+            rows = min(chunk, diameter - start)
+            dd = rows * diameter
+            # All (dy, dx) displacements of these dy rows at once:
+            # windows is a strided (rows, D, height, width) view.
+            sub = band_full[start:start + rows - 1 + height, :]
+            windows = np.lib.stride_tricks.sliding_window_view(
+                sub, (height, width))
+            diff = np.abs(source[None, None] - windows)
+            # 4-wide column sums via a BLAS matvec, then the 4-row sum:
+            # per-pixel diffs are <= 255 and tile sums <= 4080, so
+            # float32 holds every intermediate exactly and this is ~3x
+            # faster than a strided integer reduction over both axes.
+            col_sums = (
+                diff.reshape(-1, 4).astype(np.float32) @ _TILE_ONES
+            ).reshape(dd, tile_rows, 4, tile_cols)
+            tiles = col_sums.sum(axis=2, dtype=np.float32)
+            mb_tiles = tiles.reshape(
+                dd, mb_rows_count, 4, self._mb_cols, 4
+            ).transpose(0, 1, 3, 2, 4).reshape(dd, num_mbs, MB_SIZE)
+            sads = mb_tiles.astype(np.float64) @ mask
+            cost = sads + penalty_flat[start * diameter:
+                                       start * diameter + dd, None, None]
+            # First-minimum within the chunk (argmin over the flat
+            # displacement axis), then strict < across chunks: together
+            # that reproduces the scalar path's row-major flat argmin
+            # tie-breaking exactly.
+            pick = np.argmin(cost, axis=0)
+            picked = np.expand_dims(pick, 0)
+            chunk_cost = np.take_along_axis(cost, picked, axis=0)[0]
+            chunk_sad = np.take_along_axis(sads, picked, axis=0)[0]
+            better = chunk_cost < best_cost
+            best_cost[better] = chunk_cost[better]
+            best_sad[better] = chunk_sad[better]
+            best_flat[better] = (start * diameter + pick)[better]
+        self._best_sad = best_sad.astype(np.int64)
+        self._best_flat = best_flat.astype(np.int32)
+
+    def best(self, mb_row: int, mb_col: int,
+             rect: Tuple[int, int, int, int]
+             ) -> Tuple[MotionVector, float]:
+        """Lowest-cost (motion vector, raw SAD) for one MB's rect."""
+        mb = mb_row * self._mb_cols + mb_col
+        column = RECT_COLUMN[rect]
+        flat = int(self._best_flat[mb, column])
+        radius = self.search_range
+        mv = MotionVector(flat // self._diameter - radius,
+                          flat % self._diameter - radius)
+        return mv, float(self._best_sad[mb, column])
+
+    def mb_table(self, mb_row: int, mb_col: int
+                 ) -> List[Tuple[MotionVector, float]]:
+        """All of one MB's per-rect winners as plain Python values.
+
+        Returns a list indexed by :data:`ENCODER_RECTS` position of
+        (motion vector, raw SAD) pairs — one bulk fetch instead of 41
+        array-scalar reads.
+        """
+        mb = mb_row * self._mb_cols + mb_col
+        flats = self._best_flat[mb].tolist()
+        sads = self._best_sad[mb].tolist()
+        diameter = self._diameter
+        radius = self.search_range
+        return [
+            (MotionVector(flat // diameter - radius,
+                          flat % diameter - radius), float(sad))
+            for flat, sad in zip(flats, sads)
+        ]
+
+
 def deblock_edge_scalar(p1: int, p0: int, q0: int, q1: int, alpha: int,
                         beta: int, clip_limit: int) -> Tuple[int, int]:
     """H.264 normal filter for one pixel quadruple across an edge."""
@@ -203,6 +373,8 @@ __all__ = [
     "forward_transform_scalar",
     "quantize_scalar",
     "reconstruct_residual_block_scalar",
+    "transform_and_quantize",
+    "FrameMotionSearch",
     "deblock_edge_scalar",
     "filter_vertical_edges_scalar",
     "encode_bypass_bits_scalar",

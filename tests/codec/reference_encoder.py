@@ -17,7 +17,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from reference import coded_block_pattern_scalar
+from reference import (
+    FrameMotionSearch,
+    coded_block_pattern_scalar,
+    transform_and_quantize,
+)
 
 from repro.codec.config import EncoderConfig
 from repro.codec.deblock import deblock_frame
@@ -25,7 +29,7 @@ from repro.codec.encoded import EncodedFrame, EncodedVideo, FrameHeader, VideoHe
 from repro.codec.encoder import Encoder, slice_bands
 from repro.codec.gop import FramePlan, plan_gop
 from repro.codec.intra import choose_intra_mode
-from repro.codec.motion import FrameMotionSearch, pad_reference
+from repro.codec.motion import pad_reference
 from repro.codec.neighbors import FrameMbState
 from repro.codec.ratecontrol import frame_activity_offsets, frame_qp
 from repro.codec.reconstruct import (
@@ -38,7 +42,6 @@ from repro.codec.transform import (
     MAX_QP,
     MIN_QP,
     reconstruct_residual,
-    transform_and_quantize,
 )
 from repro.codec.types import (
     DependencyRecord,

@@ -13,6 +13,7 @@ from repro.codec.cavlc import CavlcDecoder, CavlcEncoder
 from repro.codec.contexts import DEFAULT_CONTEXT_MODEL
 from repro.codec.neighbors import FrameMbState
 from repro.codec.syntax import (
+    attach_coefficients,
     decode_macroblock,
     encode_macroblock,
     finalize_macroblock,
@@ -172,6 +173,9 @@ class TestMacroblockRoundTrip:
             for col in range(cols):
                 decoded = decode_macroblock(decoder, MODEL, dec_state,
                                             frame_type, row, col, 0)
+                if decoded.levels is not None:
+                    # The parse is sparse; build the (16, 4, 4) array.
+                    attach_coefficients([decoded])
                 assert _decisions_equal(decisions[index], decoded), (
                     f"mismatch at MB ({row},{col}): "
                     f"{decisions[index]} vs {decoded}")

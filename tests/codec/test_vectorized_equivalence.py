@@ -35,7 +35,7 @@ from repro.codec.encoder import _coded_block_patterns_many
 from repro.codec.intra import choose_intra_mode
 from repro.codec.motion import (
     ENCODER_RECTS,
-    FrameMotionSearch,
+    RECT_COLUMN,
     MacroblockSearch,
     pad_reference,
 )
@@ -77,7 +77,7 @@ class TestMotionSearchEquivalence:
         reference = data.draw(
             npst.arrays(np.uint8, current.shape, elements=pixels))
         padded = pad_reference(reference, search_range)
-        frame_search = FrameMotionSearch(current, padded, search_range,
+        frame_search = ref.FrameMotionSearch(current, padded, search_range,
                                          search_range, lam)
         mb_rows = current.shape[0] // 16
         mb_cols = current.shape[1] // 16
@@ -91,8 +91,7 @@ class TestMotionSearchEquivalence:
                 table = frame_search.mb_table(mb_row, mb_col)
                 for rect in ENCODER_RECTS:
                     want_mv, want_sad = oracle.best_mv(rect, lam)
-                    got_mv, got_sad = table[
-                        FrameMotionSearch.rect_column(rect)]
+                    got_mv, got_sad = table[RECT_COLUMN[rect]]
                     assert got_mv == want_mv
                     assert got_sad == want_sad
 

@@ -40,7 +40,11 @@ from repro.knobs import KNOBS  # noqa: E402
 
 #: Packages whose public API must be fully docstringed.
 DOCSTRING_PACKAGES = (
+    "src/repro/codec/cabac.py",
+    "src/repro/codec/decoder.py",
     "src/repro/codec/encoder.py",
+    "src/repro/codec/entropy.py",
+    "src/repro/codec/syntax.py",
     "src/repro/codec/batch.py",
     "src/repro/obs",
     "src/repro/runtime",

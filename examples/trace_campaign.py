@@ -22,13 +22,13 @@ from collections import defaultdict
 import numpy as np
 
 from repro.analysis import equal_storage_bins, quality_sweep
-from repro.codec import Decoder, Encoder, EncoderConfig
+from repro.codec import Encoder, EncoderConfig
 from repro.core import compute_importance, macroblock_bits
 from repro.obs import trace
 from repro.obs.trace import write_chrome_trace
 from repro.storage.device import ApproximateDevice
 from repro.storage.ecc import scheme_by_name
-from repro.video import SceneConfig, synthesize_scene
+from repro.video import SceneConfig, VideoSequence, synthesize_scene
 
 RATES = (1e-5, 1e-4, 1e-3)
 RUNS = 3
@@ -50,8 +50,9 @@ def main() -> None:
         video = synthesize_scene(SceneConfig(
             width=64, height=48, num_frames=6, seed=5, num_objects=2))
         config = EncoderConfig(crf=26, gop_size=6)
-        encoded = Encoder(config).encode(video)
-        clean = Decoder().decode(encoded)
+        (encoded,), (recon,) = Encoder(config).encode_batch_with_recon(
+            [video])
+        clean = VideoSequence.from_array(recon)
         importance = compute_importance(encoded.trace)
         bins = equal_storage_bins(
             macroblock_bits(encoded.trace, importance), num_bins=4)

@@ -122,7 +122,7 @@ class BatchFrameMotionSearch:
     merge makes results chunk-size invariant — so the per-clip SAD
     tables are bitwise identical to N separate one-clip passes
     (``FrameMotionSearch`` in ``tests/codec/reference.py``) and to the
-    per-macroblock :class:`~repro.codec.motion.MacroblockSearch`.
+    per-macroblock ``MacroblockSearch`` there.
     """
 
     def __init__(self, currents: np.ndarray, refs_padded: np.ndarray,

@@ -7,10 +7,10 @@ the 4x4 tile grid), their columns in the SAD tables
 per-rectangle SADs. Two estimators use it and produce bitwise identical
 answers:
 
-* :class:`MacroblockSearch` — the scalar reference. Per macroblock it
-  builds a full absolute-difference tensor over the search window and
-  answers SAD queries for any partition rectangle from a 2-D integral
-  image. Retained for tests and as the equivalence oracle.
+* ``MacroblockSearch`` in ``tests/codec/reference.py`` — the scalar
+  reference and equivalence oracle. Per macroblock it builds a full
+  absolute-difference tensor over the search window and answers SAD
+  queries for any partition rectangle from a 2-D integral image.
 * ``BatchFrameMotionSearch`` in :mod:`repro.codec.encoder` — the
   vectorized hot path. It streams over the displacement window once
   per (frame, reference) pair for a whole batch of clips, reducing
@@ -49,70 +49,6 @@ def pad_reference(frame: np.ndarray, pad: int) -> np.ndarray:
     if pad < 1:
         raise EncoderError(f"pad must be >= 1, got {pad}")
     return np.pad(frame, pad, mode="edge")
-
-
-class MacroblockSearch:
-    """SAD oracle for one macroblock against one padded reference.
-
-    Args:
-        current_mb: the 16x16 source block being encoded.
-        ref_padded: reference frame padded by at least ``search_range``.
-        pad: the padding amount used to build ``ref_padded``.
-        top, left: pixel coordinates of the MB in the unpadded frame.
-        search_range: displacement radius R; candidates span [-R, R]^2.
-    """
-
-    def __init__(self, current_mb: np.ndarray, ref_padded: np.ndarray,
-                 pad: int, top: int, left: int, search_range: int) -> None:
-        if pad < search_range:
-            raise EncoderError(
-                f"padding {pad} smaller than search range {search_range}"
-            )
-        self.search_range = search_range
-        window_size = 2 * search_range + MB_SIZE
-        row0 = top + pad - search_range
-        col0 = left + pad - search_range
-        window = ref_padded[row0:row0 + window_size,
-                            col0:col0 + window_size].astype(np.int32)
-        candidates = np.lib.stride_tricks.sliding_window_view(
-            window, (MB_SIZE, MB_SIZE))
-        diff = np.abs(candidates - current_mb.astype(np.int32))
-        # Integral image over the in-block axes: any rectangle SAD for all
-        # displacements via 4 gathers.
-        integral = np.zeros(
-            (diff.shape[0], diff.shape[1], MB_SIZE + 1, MB_SIZE + 1),
-            dtype=np.int64,
-        )
-        integral[:, :, 1:, 1:] = diff.cumsum(axis=2).cumsum(axis=3)
-        self._integral = integral
-
-    def sad_grid(self, rect: Tuple[int, int, int, int]) -> np.ndarray:
-        """SAD of partition ``rect`` for every displacement, shape (D, D)."""
-        oy, ox, height, width = rect
-        integral = self._integral
-        return (
-            integral[:, :, oy + height, ox + width]
-            - integral[:, :, oy, ox + width]
-            - integral[:, :, oy + height, ox]
-            + integral[:, :, oy, ox]
-        )
-
-    def best_mv(self, rect: Tuple[int, int, int, int],
-                mv_cost_lambda: float) -> Tuple[MotionVector, float]:
-        """Lowest-cost displacement for a partition.
-
-        Cost = SAD + lambda * (|dy| + |dx|), the bit-cost bias real
-        encoders apply. Returns (motion vector, raw SAD at that vector).
-        """
-        grid = self.sad_grid(rect)
-        radius = self.search_range
-        offsets = np.abs(np.arange(-radius, radius + 1))
-        penalty = mv_cost_lambda * (offsets[:, None] + offsets[None, :])
-        cost = grid + penalty
-        flat_index = int(np.argmin(cost))
-        dy, dx = np.unravel_index(flat_index, cost.shape)
-        mv = MotionVector(int(dy) - radius, int(dx) - radius)
-        return mv, float(grid[dy, dx])
 
 
 def _encoder_rects() -> Tuple[Tuple[int, int, int, int], ...]:

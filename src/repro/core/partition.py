@@ -5,6 +5,9 @@ segment (per the pivot tables), into one stream per ECC scheme; each
 stream is later stored with exactly its scheme's protection.
 ``merge_streams`` is the exact inverse, reassembling frame payloads from
 (possibly corrupted) streams — split followed by merge is the identity.
+``cipher_streams`` numbers the streams for the stream cipher, and
+``stream_damage`` turns a read's device reports into the stream-bit
+damage that ``map_stream_damage`` projects onto frames.
 
 Streams are bit-granular: segments need not align to bytes, so payloads
 are unpacked to bit arrays for slicing and packed back afterwards.
@@ -13,13 +16,14 @@ are unpacked to bit arrays for slicing and packed back afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import AnalysisError
 from ..codec.encoded import EncodedVideo
 from ..storage.density import DEFAULT_BITS_PER_CELL, DensityReport, density_report
+from ..storage.device import StorageReport
 from ..storage.ecc import ECCScheme, scheme_by_name
 from .assignment import ClassAssignment
 from .importance import ImportanceResult, macroblock_bits
@@ -55,6 +59,7 @@ class ProtectedVideo:
         return self.encoded.header_bits + total_pivot_bits(self.pivots)
 
     def scheme_bit_map(self) -> Dict[ECCScheme, int]:
+        """Exact (pre-padding) bit count per ECC scheme."""
         return {scheme_by_name(name): bits
                 for name, bits in self.stream_bits.items()}
 
@@ -133,6 +138,61 @@ def merge_streams(protected: ProtectedVideo,
             cursors[segment.scheme_name] = cursor + segment.bits
         payloads.append(_pack(bits)[:len(frame.payload)])
     return payloads
+
+
+def stream_ids(names: Iterable[str]) -> Dict[str, int]:
+    """Cipher stream id of each named stream: its rank in sorted order.
+
+    The id selects the stream's IV, so the writer and every reader must
+    number the streams alike; sorting makes the numbering independent
+    of dict order and of placement.
+    """
+    return {name: index for index, name in enumerate(sorted(names))}
+
+
+def cipher_streams(crypt: Callable[[Dict[int, bytes]], Dict[int, bytes]],
+                   protected: ProtectedVideo,
+                   streams: Dict[str, bytes]) -> Dict[str, bytes]:
+    """Run a stream cipher over a protected video's streams, by name.
+
+    ``crypt`` is a :class:`~repro.crypto.streams.StreamEncryptor`'s
+    ``encrypt_streams`` or ``decrypt_streams``; ``streams`` holds one
+    buffer per stream of ``protected`` (plaintext or read-back
+    ciphertext). Streams are numbered by :func:`stream_ids`, and each
+    output is cut to its protected stream's length.
+    """
+    ids = stream_ids(protected.streams)
+    out = crypt({index: streams[name] for name, index in ids.items()})
+    return {name: out[index][:len(protected.streams[name])]
+            for name, index in ids.items()}
+
+
+def stream_damage(protected: ProtectedVideo,
+                  reports: Dict[str, StorageReport],
+                  offsets: Optional[Dict[str, int]] = None
+                  ) -> Dict[str, List[Tuple[int, int]]]:
+    """Uncorrectable blocks of a read, as clamped stream-bit spans.
+
+    ``reports`` maps stream name to the device report of its read. A
+    report's :class:`~repro.storage.device.UncorrectableBlock` bits are
+    relative to the bytes read; ``offsets`` gives the byte of the
+    stream each read started at (an aligned seek window), 0 if absent.
+    Spans are clamped to the stream's real (pre-padding) length, and
+    streams left with no span are omitted, so the result is exactly
+    what :func:`map_stream_damage` consumes. The stream ciphers are
+    positional, so the spans hold for the decrypted streams too.
+    """
+    damage: Dict[str, List[Tuple[int, int]]] = {}
+    for name, report in reports.items():
+        shift = 8 * (offsets or {}).get(name, 0)
+        limit = protected.stream_bits[name]
+        spans = [(min(shift + block.bit_start, limit),
+                  min(shift + block.bit_end, limit))
+                 for block in report.uncorrectable]
+        spans = [(lo, hi) for lo, hi in spans if hi > lo]
+        if spans:
+            damage[name] = spans
+    return damage
 
 
 def stream_ranges_for_frames(protected: ProtectedVideo,

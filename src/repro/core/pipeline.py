@@ -41,9 +41,11 @@ from .importance import (
 )
 from .partition import (
     ProtectedVideo,
+    cipher_streams,
     map_stream_damage,
     merge_streams,
     partition_video,
+    stream_damage,
 )
 
 
@@ -59,6 +61,7 @@ class StoredVideo:
     device_streams: Dict[str, bytes]
 
     def density(self) -> DensityReport:
+        """Cells/pixel accounting of the stored video."""
         return self.protected.density(self.total_pixels)
 
 
@@ -131,12 +134,8 @@ class ApproximateVideoStore:
         if self.encryptor is not None:
             # Encryption happens after partitioning (the analysis must
             # see plaintext) and before the approximate device.
-            ordered = sorted(device_streams)
-            encrypted = self.encryptor.encrypt_streams(
-                {index: device_streams[name]
-                 for index, name in enumerate(ordered)})
-            device_streams = {name: encrypted[index]
-                              for index, name in enumerate(ordered)}
+            device_streams = cipher_streams(self.encryptor.encrypt_streams,
+                                            protected, device_streams)
         return StoredVideo(
             protected=protected,
             importance=importance,
@@ -185,27 +184,14 @@ class ApproximateVideoStore:
             if self.encryptor is None:
                 raise AnalysisError(
                     "stored video is encrypted but the store has no key")
-            ordered = sorted(stored.protected.streams)
-            decrypted = self.encryptor.decrypt_streams(
-                {index: streams[name] for index, name in enumerate(ordered)})
-            streams = {name: decrypted[index][:len(stored.protected.streams[name])]
-                       for index, name in enumerate(ordered)}
+            streams = cipher_streams(self.encryptor.decrypt_streams,
+                                     stored.protected, streams)
         payloads = merge_streams(stored.protected, streams)
         corrupted = stored.protected.encoded.with_payloads(payloads)
         self._last_storage_reports = reports
         if not conceal:
             return self._decoder.decode(corrupted)
-        # Escalated uncorrectable blocks arrive in stream data-bit
-        # coordinates; the stream ciphers (CTR/OFB) are positional, so
-        # the same coordinates hold for the plaintext streams. Clamp to
-        # the real (pre-padding) stream length before projection.
-        damage = {
-            name: [(min(block.bit_start, stored.protected.stream_bits[name]),
-                    min(block.bit_end, stored.protected.stream_bits[name]))
-                   for block in report.uncorrectable]
-            for name, report in reports.items()
-            if report.uncorrectable and name in stored.protected.stream_bits
-        }
+        damage = stream_damage(stored.protected, reports)
         frame_damage = map_stream_damage(stored.protected, damage) \
             if damage else {}
         if self._concealing_decoder is None:

@@ -92,13 +92,17 @@ class Shard:
         """True when ``key`` is stored on this shard."""
         return key in self.blobs
 
-    def blob_sha(self, key: str) -> str:
-        """SHA-256 of the at-rest blob under ``key`` (hex)."""
+    def _blob(self, key: str) -> bytes:
+        """The at-rest blob under ``key``; error if absent."""
         blob = self.blobs.get(key)
         if blob is None:
             raise ServiceError(
                 f"shard {self.shard_id}: no blob under key {key!r}")
-        return hashlib.sha256(blob).hexdigest()
+        return blob
+
+    def blob_sha(self, key: str) -> str:
+        """SHA-256 of the at-rest blob under ``key`` (hex)."""
+        return hashlib.sha256(self._blob(key)).hexdigest()
 
     def delete(self, key: str) -> None:
         """Drop ``key``'s blob (no-op when absent) — the drain step."""
@@ -135,19 +139,14 @@ class Shard:
             return None
         return max(0.0, self.t_days - self.written_day.get(key, 0.0))
 
-    def read(self, key: str, scheme: ECCScheme,
-             rng: np.random.Generator) -> Tuple[bytes, StorageReport]:
-        """Read ``key`` back through the device at this shard's age.
+    def _replay(self, key: str, blob: bytes, scheme: ECCScheme,
+                rng: np.random.Generator) -> Tuple[bytes, StorageReport]:
+        """Replay ``blob`` — all or part of ``key``'s at-rest bytes —
+        through a device at the key's age; fold the report into health.
 
-        The caller supplies the RNG so every read's error draw is
-        seeded by the *operation*, not by shared device state — which
-        is what keeps concurrent loadgen runs replayable. The report is
-        also folded into the shard's health accounting.
+        The one device read behind :meth:`read` and :meth:`read_range`;
+        neither calls the other, so each public read counts once.
         """
-        blob = self.blobs.get(key)
-        if blob is None:
-            raise ServiceError(
-                f"shard {self.shard_id}: no blob under key {key!r}")
         if _CHAOS_SHARD_READ is not None:
             _CHAOS_SHARD_READ(self.shard_id, key)
         try:
@@ -163,6 +162,17 @@ class Shard:
         if report.failed_blocks:
             self.note_uncorrectable(report.failed_blocks)
         return data, report
+
+    def read(self, key: str, scheme: ECCScheme,
+             rng: np.random.Generator) -> Tuple[bytes, StorageReport]:
+        """Read ``key`` back through the device at this shard's age.
+
+        The caller supplies the RNG so every read's error draw is
+        seeded by the *operation*, not by shared device state — which
+        is what keeps concurrent loadgen runs replayable. The report is
+        also folded into the shard's health accounting.
+        """
+        return self._replay(key, self._blob(key), scheme, rng)
 
     def read_range(self, key: str, scheme: ECCScheme,
                    rng: np.random.Generator, byte_start: int,
@@ -181,10 +191,7 @@ class Shard:
         blob coordinates. Health accounting is identical to a full
         read.
         """
-        blob = self.blobs.get(key)
-        if blob is None:
-            raise ServiceError(
-                f"shard {self.shard_id}: no blob under key {key!r}")
+        blob = self._blob(key)
         if byte_start < 0 or byte_end < byte_start:
             raise ServiceError(
                 f"shard {self.shard_id}: bad byte range "
@@ -194,22 +201,9 @@ class Shard:
                             (byte_start // block_bytes) * block_bytes)
         aligned_end = min(len(blob),
                           -(-byte_end // block_bytes) * block_bytes)
-        if _CHAOS_SHARD_READ is not None:
-            _CHAOS_SHARD_READ(self.shard_id, key)
-        try:
-            device = ApproximateDevice(
-                cell_model=self.cell_model, rng=rng, exact=self.exact_ecc,
-                scrub=self.scrub, read_retries=self.read_retries)
-            data, report = device.store_and_read(
-                blob[aligned_start:aligned_end], scheme,
-                t_days=self._key_age(key))
-        finally:
-            if _CHAOS_SHARD_DONE is not None:
-                _CHAOS_SHARD_DONE()
-        self.reads += 1
+        data, report = self._replay(
+            key, blob[aligned_start:aligned_end], scheme, rng)
         obs_metrics.counter("service_shard_range_reads_total").inc()
-        if report.failed_blocks:
-            self.note_uncorrectable(report.failed_blocks)
         return data, report, aligned_start, aligned_end
 
     def note_uncorrectable(self, blocks: int) -> bool:

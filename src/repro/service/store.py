@@ -50,12 +50,15 @@ from ..core.assignment import PAPER_TABLE1, ClassAssignment
 from ..core.importance import compute_importance
 from ..core.partition import (
     ProtectedVideo,
+    cipher_streams,
     map_stream_damage,
     merge_streams,
     partition_video,
+    stream_damage,
+    stream_ids,
     stream_ranges_for_frames,
 )
-from ..errors import ReadRefusedError, ServiceError, TransientShardError
+from ..errors import ServiceError, TransientShardError
 from ..metrics.psnr import video_psnr
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
@@ -254,20 +257,18 @@ class VideoObjectStore:
             return object_id
         importance = compute_importance(encoded.trace)
         protected = partition_video(encoded, importance, self.assignment)
-        ordered = sorted(protected.streams)
         encryptor = self.keyring.encryptor(tenant, object_id)
-        ciphertext = encryptor.encrypt_streams(
-            {i: protected.streams[name]
-             for i, name in enumerate(ordered)})
+        ciphertext = cipher_streams(encryptor.encrypt_streams, protected,
+                                    protected.streams)
         stream_sha: Dict[str, str] = {}
         placement: Dict[str, str] = {}
         replicas: Dict[str, Tuple[str, ...]] = {}
-        for i, name in enumerate(ordered):
+        for name in sorted(ciphertext):
             key = stream_key(tenant, object_id, name)
             chain = self.pool.place_n(key, self.replicas)
             for shard in chain:
-                shard.write(key, ciphertext[i])
-            stream_sha[name] = hashlib.sha256(ciphertext[i]).hexdigest()
+                shard.write(key, ciphertext[name])
+            stream_sha[name] = hashlib.sha256(ciphertext[name]).hexdigest()
             placement[name] = chain[0].shard_id
             replicas[name] = tuple(s.shard_id for s in chain)
         self._records[(tenant, object_id)] = ObjectRecord(
@@ -277,11 +278,25 @@ class VideoObjectStore:
         obs_metrics.counter("service_ingest_objects_total").inc()
         self.audit.record(
             "ingest", tenant, object_id,
-            detail=f"streams={len(ordered)} "
+            detail=f"streams={len(ciphertext)} "
                    f"shards={sorted(set(placement.values()))}")
         return object_id
 
     # -- read path --------------------------------------------------------
+
+    def _encryptor_for(self, tenant: str, object_id: str, reader: str):
+        """The owner's cipher for ``object_id``, if ``reader`` may read.
+
+        A denial is audited and counted before it propagates.
+        """
+        self.keyring.add_tenant(reader)
+        try:
+            self.keyring.check_read(tenant, reader)
+            return self.keyring.encryptor(tenant, object_id)
+        except ServiceError as exc:
+            self.audit.record("denied", reader, object_id, detail=str(exc))
+            obs_metrics.counter("service_reads_denied_total").inc()
+            raise
 
     def get(self, tenant: str, object_id: str,
             reader: Optional[str] = None,
@@ -299,15 +314,7 @@ class VideoObjectStore:
         record = self.record(tenant, object_id)
         with obs_trace.span("service.read", tenant=tenant,
                             reader=reader, object_id=object_id[:12]):
-            self.keyring.add_tenant(reader)
-            try:
-                self.keyring.check_read(tenant, reader)
-                encryptor = self.keyring.encryptor(tenant, object_id)
-            except ServiceError as exc:
-                self.audit.record("denied", reader, object_id,
-                                  detail=str(exc))
-                obs_metrics.counter("service_reads_denied_total").inc()
-                raise
+            encryptor = self._encryptor_for(tenant, object_id, reader)
             result = self._read_streams(record, encryptor, reader,
                                         rng or np.random.default_rng())
         self.audit.record(
@@ -331,82 +338,121 @@ class VideoObjectStore:
             return 1
         return 0
 
-    def _read_one_replicated(self, record: ObjectRecord, name: str,
-                             rng: np.random.Generator):
-        """Walk ``name``'s replica chain; serve the best rung.
+    def _read_replicated(self, record: ObjectRecord, names, read):
+        """Read each stream in ``names`` off its replica chain.
+
+        ``read(shard, key, scheme, name)`` reads one replica and returns
+        ``(data, report, start, end)``: the bytes, their device report,
+        and the byte window ``[start, end)`` of the stream they hold —
+        :meth:`Shard.read` over the whole stream for a full read,
+        :meth:`Shard.read_range` over the aligned window for a seek.
 
         Replicas are read in ring order (primary first) and the walk
         stops at the first *clean* copy — a damaged or refused primary
         escalates to the next replica rather than straight to
-        concealment or refusal. Returns ``(data, report, refusal,
-        replica_index, rung)``; ``data``/``report`` are ``None`` only
-        when every replica was unreadable (flaked or drained).
+        concealment or refusal; the best rung is served. Any damage,
+        refusal or escalation enqueues the object for read repair.
+        Returns ``(data, reports, starts, refusal, escalated)``, the
+        first three by stream name; a stream no replica could serve is
+        absent from them and refuses the read.
         """
-        key = stream_key(record.tenant, record.object_id, name)
-        scheme = scheme_by_name(name)
-        chain = record.replica_chain(name)
-        best = None
-        flaked = 0
-        for index, shard_id in enumerate(chain):
-            shard = self.pool.shard(shard_id)
-            if not shard.has(key):
+        data: Dict[str, bytes] = {}
+        reports: Dict[str, StorageReport] = {}
+        starts: Dict[str, int] = {}
+        refusal = ""
+        escalated: List[str] = []
+        needs_repair = False
+        for name in names:
+            key = stream_key(record.tenant, record.object_id, name)
+            scheme = scheme_by_name(name)
+            best = None
+            flaked = 0
+            for index, shard_id in enumerate(record.replica_chain(name)):
+                shard = self.pool.shard(shard_id)
+                if not shard.has(key):
+                    continue
+                obs_metrics.counter("service_replica_reads_total").inc()
+                try:
+                    got, report, start, end = read(shard, key, scheme,
+                                                   name)
+                except TransientShardError:
+                    flaked += 1
+                    obs_metrics.counter(
+                        "service_replica_read_faults_total").inc()
+                    continue
+                stream_refusal = self._refusal(record, name, got, report,
+                                               start, end)
+                rung = self._rung(stream_refusal, report)
+                if best is None or rung < best[5]:
+                    best = (got, report, stream_refusal, start, index,
+                            rung)
+                if rung == 0:
+                    break
+            if best is None:
+                if flaked:
+                    # An operational fault, not data damage: every
+                    # replica flaked mid-read. Retryable — let the
+                    # front-end's backoff ladder have it rather than
+                    # refusing.
+                    raise TransientShardError(
+                        f"stream {name}: all {flaked} readable "
+                        f"replica(s) flaked")
+                refusal = (refusal
+                           or f"stream {name}: no replica holds the stream")
+                needs_repair = True
                 continue
-            obs_metrics.counter("service_replica_reads_total").inc()
-            try:
-                data, report = shard.read(key, scheme, rng)
-            except TransientShardError:
-                flaked += 1
-                obs_metrics.counter(
-                    "service_replica_read_faults_total").inc()
-                continue
-            refusal = self._refusal_for(record, name, data, report)
-            rung = self._rung(refusal, report)
-            if best is None or rung < best[4]:
-                best = (data, report, refusal, index, rung)
-            if rung == 0:
-                break
-        if best is None:
-            if flaked:
-                # An operational fault, not data damage: every replica
-                # flaked mid-read. Retryable — let the front-end's
-                # backoff ladder have it rather than refusing.
-                raise TransientShardError(
-                    f"stream {name}: all {flaked} readable replica(s) "
-                    f"flaked")
-            return (None, None,
-                    f"stream {name}: no replica holds the stream",
-                    0, 3)
-        if best[3] > 0:
-            obs_metrics.counter(
-                "service_read_escalations_total").inc()
-        return best
+            got, report, stream_refusal, start, index, rung = best
+            data[name], reports[name], starts[name] = got, report, start
+            if index > 0:
+                escalated.append(name)
+                obs_metrics.counter("service_read_escalations_total").inc()
+            needs_repair = needs_repair or rung > 0 or index > 0
+            refusal = refusal or stream_refusal
+        if needs_repair:
+            self.repair.enqueue(record.tenant, record.object_id)
+        return data, reports, starts, refusal, tuple(escalated)
+
+    def _refusal(self, record: ObjectRecord, name: str, data: bytes,
+                 report: StorageReport, start: int, end: int) -> str:
+        """The refusal reason for one replica read of ``name``, or ``""``.
+
+        ``[start, end)`` is the byte window of the stream ``data``
+        holds. The integrity hash runs when the window covers the whole
+        stream — always, for a full read — and the device reports a
+        clean read; a partial read cannot hash bytes it never fetched,
+        so its silent-miscorrection refusal rides the per-block ECC
+        verdicts instead.
+        """
+        if report.miscorrected_blocks > 0:
+            return (f"stream {name}: {report.miscorrected_blocks} "
+                    f"silently miscorrected block(s)")
+        whole = start == 0 and end >= len(record.protected.streams[name])
+        clean_claim = (report.flipped_bits == 0
+                       and report.failed_blocks == 0)
+        if whole and clean_claim:
+            digest = hashlib.sha256(data).hexdigest()
+            if digest != record.stream_sha[name]:
+                return (f"stream {name}: integrity hash mismatch on a "
+                        f"read the device reported clean")
+        header = record.protected.assignment.header_scheme.name
+        if report.failed_blocks and name == header:
+            return (f"stream {name}: uncorrectable damage in a "
+                    f"precise-scheme stream")
+        return ""
 
     def _read_streams(self, record: ObjectRecord, encryptor, reader: str,
                       rng: np.random.Generator) -> ReadResult:
         """Pull every stream off its replicas and classify the outcome."""
         protected = record.protected
-        ordered = sorted(protected.streams)
-        read_back: Dict[str, bytes] = {}
-        reports: Dict[str, StorageReport] = {}
-        refusal = ""
-        escalated: List[str] = []
-        needs_repair = False
+
+        def whole(shard, key, scheme, name):
+            data, report = shard.read(key, scheme, rng)
+            return data, report, 0, len(protected.streams[name])
+
         # Sorted-name order mirrors the core pipeline: a seeded rng
         # yields one flip pattern per plan seed regardless of placement.
-        for name in ordered:
-            data, report, stream_refusal, index, rung = \
-                self._read_one_replicated(record, name, rng)
-            if data is not None:
-                read_back[name] = data
-            if report is not None:
-                reports[name] = report
-            if index > 0:
-                escalated.append(name)
-            if rung > 0 or index > 0:
-                needs_repair = True
-            refusal = refusal or stream_refusal
-        if needs_repair:
-            self.repair.enqueue(record.tenant, record.object_id)
+        read_back, reports, _, refusal, escalated = self._read_replicated(
+            record, sorted(protected.streams), whole)
         result = ReadResult(
             object_id=record.object_id, tenant=record.tenant,
             reader=reader, outcome=CLEAN, reports=reports,
@@ -414,36 +460,18 @@ class VideoObjectStore:
             failed_blocks=sum(r.failed_blocks for r in reports.values()),
             retry_successes=sum(r.retry_successes
                                 for r in reports.values()),
-            escalated_streams=tuple(escalated))
-        if refusal:
-            result.outcome = REFUSED
-            result.refusal_reason = refusal
+            escalated_streams=escalated)
+        damage = stream_damage(protected, reports)
+        if _classify(result, refusal, damage) == REFUSED:
             return result
-        decrypted = encryptor.decrypt_streams(
-            {i: read_back[name] for i, name in enumerate(ordered)})
-        plaintext = {name: decrypted[i][:len(protected.streams[name])]
-                     for i, name in enumerate(ordered)}
+        plaintext = cipher_streams(encryptor.decrypt_streams, protected,
+                                   read_back)
         payloads = merge_streams(protected, plaintext)
         corrupted = protected.encoded.with_payloads(payloads)
-        # Uncorrectable block coordinates survive the positional cipher,
-        # so stream-bit damage projects straight into frame damage —
-        # same construction as the core pipeline's conceal path.
-        damage = {
-            name: [(min(b.bit_start, protected.stream_bits[name]),
-                    min(b.bit_end, protected.stream_bits[name]))
-                   for b in report.uncorrectable]
-            for name, report in reports.items()
-            if report.uncorrectable and name in protected.stream_bits
-        }
         frame_damage = (map_stream_damage(protected, damage)
                         if damage else {})
         result.video = self._decoder.decode(corrupted, frame_damage)
         result.psnr_db = video_psnr(record.recon_sequence(), result.video)
-        if damage:
-            result.outcome = CONCEALED
-            result.concealed_streams = tuple(sorted(damage))
-        elif result.retry_successes > 0:
-            result.outcome = CORRECTED
         return result
 
     # -- random-access read path ------------------------------------------
@@ -465,12 +493,10 @@ class VideoObjectStore:
         GopCache`), so scrubbing within a GOP hits memory.
 
         ``REPRO_SEEK_DISABLE`` forces the whole-clip :meth:`get` path
-        (the fast path's escape hatch); the same four-outcome ladder
-        applies either way, minus the whole-stream integrity hash on
-        partial reads — a partial read cannot hash bytes it never
-        fetched, so silent-miscorrection refusal rides the per-block
-        ECC verdicts instead (the hash check still runs whenever the
-        aligned window happens to cover a whole stream).
+        (the fast path's escape hatch). Either way the read runs the
+        same replica walk, refusal rule and damage projection as
+        :meth:`get`; the whole-stream integrity hash runs only where
+        the aligned window covers a whole stream.
         """
         reader = reader if reader is not None else tenant
         record = self.record(tenant, object_id)
@@ -481,15 +507,7 @@ class VideoObjectStore:
         with obs_trace.span("seek.get_frame", tenant=tenant,
                             reader=reader, object_id=object_id[:12],
                             display=display):
-            self.keyring.add_tenant(reader)
-            try:
-                self.keyring.check_read(tenant, reader)
-                encryptor = self.keyring.encryptor(tenant, object_id)
-            except ServiceError as exc:
-                self.audit.record("denied", reader, object_id,
-                                  detail=str(exc))
-                obs_metrics.counter("service_reads_denied_total").inc()
-                raise
+            encryptor = self._encryptor_for(tenant, object_id, reader)
             rng = rng if rng is not None else np.random.default_rng()
             if service_config.seek_disabled():
                 result = self._frame_via_full_read(record, encryptor,
@@ -512,8 +530,7 @@ class VideoObjectStore:
                              rng: np.random.Generator) -> FrameReadResult:
         """The escape hatch: whole-clip read, then slice the frame."""
         full = self._read_streams(record, encryptor, reader, rng)
-        total = sum(len(record.protected.streams[name])
-                    for name in record.protected.streams)
+        total = sum(map(len, record.protected.streams.values()))
         result = FrameReadResult(
             object_id=record.object_id, tenant=record.tenant,
             reader=reader, display=display, outcome=full.outcome,
@@ -538,8 +555,7 @@ class VideoObjectStore:
         gop_start = entry.anchor_display
         gop_stop = (anchors[which + 1] if which + 1 < len(anchors)
                     else index.num_frames)
-        bytes_total = sum(len(protected.streams[name])
-                          for name in protected.streams)
+        bytes_total = sum(map(len, protected.streams.values()))
         key = (record.tenant, record.object_id, gop_start)
         cached = self.gop_cache.get(key)
         if cached is not None:
@@ -554,59 +570,34 @@ class VideoObjectStore:
         positions = dependency_closure(encoded,
                                        range(gop_start, gop_stop))
         bit_ranges = stream_ranges_for_frames(protected, positions)
-        ordered = sorted(protected.streams)
-        buffers: Dict[str, bytes] = {}
-        reports: Dict[str, StorageReport] = {}
-        damage: Dict[str, List[Tuple[int, int]]] = {}
-        refusal = ""
-        bytes_read = 0
-        header_scheme = protected.assignment.header_scheme.name
-        needs_repair = False
+
+        def window(shard, key, scheme, name):
+            lo_bit, hi_bit = bit_ranges[name]
+            return shard.read_range(key, scheme, rng, lo_bit // 8,
+                                    -(-hi_bit // 8))
+
         with obs_trace.span("seek.fetch", gop=gop_start,
                             frames=len(positions)):
-            for stream_id, name in enumerate(ordered):
-                buffer = bytearray(len(protected.streams[name]))
-                if name in bit_ranges:
-                    lo_bit, hi_bit = bit_ranges[name]
-                    got = self._range_read_replicated(
-                        record, name, rng, lo_bit // 8, -(-hi_bit // 8),
-                        header_scheme)
-                    (data, report, stream_refusal, a_start, a_end,
-                     index, rung) = got
-                    if data is None:
-                        refusal = refusal or stream_refusal
-                        needs_repair = True
-                        continue
-                    if rung > 0 or index > 0:
-                        needs_repair = True
-                    buffer[a_start:a_start + len(data)] = \
-                        encryptor.decrypt_at(stream_id, data, a_start)
-                    reports[name] = report
-                    bytes_read += len(data)
-                    refusal = refusal or stream_refusal
-                    if report.uncorrectable:
-                        limit = protected.stream_bits[name]
-                        shifted = [
-                            (min(8 * a_start + b.bit_start, limit),
-                             min(8 * a_start + b.bit_end, limit))
-                            for b in report.uncorrectable]
-                        shifted = [(lo, hi) for lo, hi in shifted
-                                   if hi > lo]
-                        if shifted:
-                            damage[name] = shifted
+            fetched, reports, starts, refusal, _ = self._read_replicated(
+                record, sorted(bit_ranges), window)
+            result = FrameReadResult(
+                object_id=record.object_id, tenant=record.tenant,
+                reader=reader, display=display, outcome=CLEAN,
+                gop_anchor=gop_start, frames_decoded=len(positions),
+                bytes_read=sum(len(data) for data in fetched.values()),
+                bytes_total=bytes_total, reports=reports)
+            damage = stream_damage(protected, reports, starts)
+            if _classify(result, refusal, damage) == REFUSED:
+                return result
+            ids = stream_ids(protected.streams)
+            buffers: Dict[str, bytes] = {}
+            for name, clean in protected.streams.items():
+                buffer = bytearray(len(clean))
+                if name in fetched:
+                    start, data = starts[name], fetched[name]
+                    buffer[start:start + len(data)] = encryptor.decrypt_at(
+                        ids[name], data, start)
                 buffers[name] = bytes(buffer)
-        if needs_repair:
-            self.repair.enqueue(record.tenant, record.object_id)
-        result = FrameReadResult(
-            object_id=record.object_id, tenant=record.tenant,
-            reader=reader, display=display, outcome=CLEAN,
-            gop_anchor=gop_start, frames_decoded=len(positions),
-            bytes_read=bytes_read, bytes_total=bytes_total,
-            reports=reports)
-        if refusal:
-            result.outcome = REFUSED
-            result.refusal_reason = refusal
-            return result
         payloads = merge_streams(protected, buffers)
         corrupted = encoded.with_payloads(payloads)
         frame_damage = (map_stream_damage(protected, damage)
@@ -616,11 +607,6 @@ class VideoObjectStore:
         reference = VideoSequence(
             frames=list(record.recon[gop_start:gop_stop]))
         result.psnr_db = video_psnr(reference, gop)
-        if damage:
-            result.outcome = CONCEALED
-            result.concealed_streams = tuple(sorted(damage))
-        elif sum(r.retry_successes for r in reports.values()) > 0:
-            result.outcome = CORRECTED
         frames = {gop_start + k: frame
                   for k, frame in enumerate(gop.frames)}
         result.frame = frames[display]
@@ -631,92 +617,23 @@ class VideoObjectStore:
             concealed_streams=result.concealed_streams))
         return result
 
-    def _range_read_replicated(self, record: ObjectRecord, name: str,
-                               rng: np.random.Generator, lo_byte: int,
-                               hi_byte: int, header_scheme: str):
-        """Replica-walking :meth:`Shard.read_range` for the seek path.
 
-        Same escalation contract as :meth:`_read_one_replicated`, but
-        over a byte window. Returns ``(data, report, refusal,
-        aligned_start, aligned_end, replica_index, rung)``; ``data``
-        is ``None`` only when no replica could be read at all.
-        """
-        key = stream_key(record.tenant, record.object_id, name)
-        scheme = scheme_by_name(name)
-        chain = record.replica_chain(name)
-        best = None
-        flaked = 0
-        for index, shard_id in enumerate(chain):
-            shard = self.pool.shard(shard_id)
-            if not shard.has(key):
-                continue
-            obs_metrics.counter("service_replica_reads_total").inc()
-            try:
-                data, report, a_start, a_end = shard.read_range(
-                    key, scheme, rng, lo_byte, hi_byte)
-            except TransientShardError:
-                flaked += 1
-                obs_metrics.counter(
-                    "service_replica_read_faults_total").inc()
-                continue
-            refusal = self._partial_refusal_for(
-                record, name, data, report, a_start, a_end,
-                header_scheme)
-            rung = self._rung(refusal, report)
-            if best is None or rung < best[6]:
-                best = (data, report, refusal, a_start, a_end, index,
-                        rung)
-            if rung == 0:
-                break
-        if best is None:
-            if flaked:
-                raise TransientShardError(
-                    f"stream {name}: all {flaked} readable replica(s) "
-                    f"flaked")
-            return (None, None,
-                    f"stream {name}: no replica holds the stream",
-                    0, 0, 0, 3)
-        if best[5] > 0:
-            obs_metrics.counter("service_read_escalations_total").inc()
-        return best
+def _classify(result, refusal: str,
+              damage: Dict[str, List[Tuple[int, int]]]) -> str:
+    """Set a :class:`ReadResult`'s or :class:`FrameReadResult`'s outcome.
 
-    def _partial_refusal_for(self, record: ObjectRecord, name: str,
-                             data: bytes, report: StorageReport,
-                             a_start: int, a_end: int,
-                             header_scheme: str) -> str:
-        """Refusal reason for one partial stream read, or ``""``."""
-        if report.miscorrected_blocks > 0:
-            return (f"stream {name}: {report.miscorrected_blocks} "
-                    f"silently miscorrected block(s)")
-        whole = (a_start == 0
-                 and a_end >= len(record.protected.streams[name]))
-        clean_claim = (report.flipped_bits == 0
-                       and report.failed_blocks == 0)
-        if whole and clean_claim:
-            digest = hashlib.sha256(data).hexdigest()
-            if digest != record.stream_sha[name]:
-                return (f"stream {name}: integrity hash mismatch on a "
-                        f"read the device reported clean")
-        if report.failed_blocks and name == header_scheme:
-            return (f"stream {name}: uncorrectable damage in a "
-                    f"precise-scheme stream")
-        return ""
-
-    def _refusal_for(self, record: ObjectRecord, name: str, data: bytes,
-                     report: StorageReport) -> str:
-        """The refusal reason for one stream's read, or ``""``."""
-        if report.miscorrected_blocks > 0:
-            return (f"stream {name}: {report.miscorrected_blocks} "
-                    f"silently miscorrected block(s)")
-        clean_claim = (report.flipped_bits == 0
-                       and report.failed_blocks == 0)
-        if clean_claim:
-            digest = hashlib.sha256(data).hexdigest()
-            if digest != record.stream_sha[name]:
-                return (f"stream {name}: integrity hash mismatch on a "
-                        f"read the device reported clean")
-        header = record.protected.assignment.header_scheme.name
-        if report.failed_blocks and name == header:
-            return (f"stream {name}: uncorrectable damage in a "
-                    f"precise-scheme stream")
-        return ""
+    ``refusal`` is the read's refusal reason (``""`` for none) and
+    ``damage`` its uncorrectable stream spans (:func:`~repro.core.
+    partition.stream_damage`); retries are counted from
+    ``result.reports``. Returns the outcome it set.
+    """
+    if refusal:
+        result.outcome, result.refusal_reason = REFUSED, refusal
+    elif damage:
+        result.outcome = CONCEALED
+        result.concealed_streams = tuple(sorted(damage))
+    elif any(r.retry_successes > 0 for r in result.reports.values()):
+        result.outcome = CORRECTED
+    else:
+        result.outcome = CLEAN
+    return result.outcome

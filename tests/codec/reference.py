@@ -7,11 +7,12 @@ in ``tests/codec/test_vectorized_equivalence.py`` can assert, input by
 input, that vectorization changed only the speed of the codec and not a
 single output bit.
 
-Two entries are not loop-level: :func:`transform_and_quantize` and
-:class:`FrameMotionSearch` are the per-macroblock and per-clip forms of
-the encoder's batched transform and motion search. The encoder no
-longer runs them; they stay here as the oracles the batched kernels
-and the reference encoder (``reference_encoder.py``) are checked with.
+Three entries are not loop-level: :func:`transform_and_quantize`,
+:class:`MacroblockSearch` and :class:`FrameMotionSearch` are the
+per-macroblock and per-clip forms of the encoder's batched transform
+and motion search. The encoder no longer runs them; they stay here as
+the oracles the batched kernels and the reference encoder
+(``reference_encoder.py``) are checked with.
 
 Keep these boring. When a production kernel changes behaviour on
 purpose, change the matching reference here in the same commit and
@@ -153,6 +154,70 @@ def transform_and_quantize(residual_mb: np.ndarray, qp: int) -> np.ndarray:
     return quantize(forward_transform(blockify(residual_mb)), qp)
 
 
+class MacroblockSearch:
+    """SAD oracle for one macroblock against one padded reference.
+
+    Args:
+        current_mb: the 16x16 source block being encoded.
+        ref_padded: reference frame padded by at least ``search_range``.
+        pad: the padding amount used to build ``ref_padded``.
+        top, left: pixel coordinates of the MB in the unpadded frame.
+        search_range: displacement radius R; candidates span [-R, R]^2.
+    """
+
+    def __init__(self, current_mb: np.ndarray, ref_padded: np.ndarray,
+                 pad: int, top: int, left: int, search_range: int) -> None:
+        if pad < search_range:
+            raise EncoderError(
+                f"padding {pad} smaller than search range {search_range}"
+            )
+        self.search_range = search_range
+        window_size = 2 * search_range + MB_SIZE
+        row0 = top + pad - search_range
+        col0 = left + pad - search_range
+        window = ref_padded[row0:row0 + window_size,
+                            col0:col0 + window_size].astype(np.int32)
+        candidates = np.lib.stride_tricks.sliding_window_view(
+            window, (MB_SIZE, MB_SIZE))
+        diff = np.abs(candidates - current_mb.astype(np.int32))
+        # Integral image over the in-block axes: any rectangle SAD for all
+        # displacements via 4 gathers.
+        integral = np.zeros(
+            (diff.shape[0], diff.shape[1], MB_SIZE + 1, MB_SIZE + 1),
+            dtype=np.int64,
+        )
+        integral[:, :, 1:, 1:] = diff.cumsum(axis=2).cumsum(axis=3)
+        self._integral = integral
+
+    def sad_grid(self, rect: Tuple[int, int, int, int]) -> np.ndarray:
+        """SAD of partition ``rect`` for every displacement, shape (D, D)."""
+        oy, ox, height, width = rect
+        integral = self._integral
+        return (
+            integral[:, :, oy + height, ox + width]
+            - integral[:, :, oy, ox + width]
+            - integral[:, :, oy + height, ox]
+            + integral[:, :, oy, ox]
+        )
+
+    def best_mv(self, rect: Tuple[int, int, int, int],
+                mv_cost_lambda: float) -> Tuple[MotionVector, float]:
+        """Lowest-cost displacement for a partition.
+
+        Cost = SAD + lambda * (|dy| + |dx|), the bit-cost bias real
+        encoders apply. Returns (motion vector, raw SAD at that vector).
+        """
+        grid = self.sad_grid(rect)
+        radius = self.search_range
+        offsets = np.abs(np.arange(-radius, radius + 1))
+        penalty = mv_cost_lambda * (offsets[:, None] + offsets[None, :])
+        cost = grid + penalty
+        flat_index = int(np.argmin(cost))
+        dy, dx = np.unravel_index(flat_index, cost.shape)
+        mv = MotionVector(int(dy) - radius, int(dx) - radius)
+        return mv, float(grid[dy, dx])
+
+
 class FrameMotionSearch:
     """Full-search SAD oracle for every macroblock of one frame.
 
@@ -164,7 +229,7 @@ class FrameMotionSearch:
     lowest-cost motion vector (cost = SAD + lambda * |mv|_1) and its raw
     SAD for all macroblocks and all ``ENCODER_RECTS`` partition
     rectangles at once. Answers are bitwise identical to running
-    :meth:`~repro.codec.motion.MacroblockSearch.best_mv` per macroblock and rectangle —
+    :meth:`MacroblockSearch.best_mv` per macroblock and rectangle —
     including argmin tie-breaking, which both resolve to the first
     candidate in row-major displacement order.
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from reference import MacroblockSearch
 from repro.codec.motion import (
-    MacroblockSearch,
     compensate,
     pad_reference,
     reference_dependencies,

@@ -36,7 +36,6 @@ from repro.codec.intra import choose_intra_mode
 from repro.codec.motion import (
     ENCODER_RECTS,
     RECT_COLUMN,
-    MacroblockSearch,
     pad_reference,
 )
 from repro.codec.ratecontrol import activity_qp_offset, frame_activity_offsets
@@ -83,7 +82,7 @@ class TestMotionSearchEquivalence:
         mb_cols = current.shape[1] // 16
         for mb_row in range(mb_rows):
             for mb_col in range(mb_cols):
-                oracle = MacroblockSearch(
+                oracle = ref.MacroblockSearch(
                     current[16 * mb_row:16 * mb_row + 16,
                             16 * mb_col:16 * mb_col + 16],
                     padded, search_range, 16 * mb_row, 16 * mb_col,
@@ -105,8 +104,8 @@ class TestMotionSearchEquivalence:
         reference = data.draw(
             npst.arrays(np.uint8, (16, 16), elements=pixels))
         padded = pad_reference(reference, search_range)
-        oracle = MacroblockSearch(current, padded, search_range, 0, 0,
-                                  search_range)
+        oracle = ref.MacroblockSearch(current, padded, search_range, 0,
+                                      0, search_range)
         for rect in ((0, 0, 16, 16), (0, 0, 8, 8), (8, 4, 4, 8)):
             want_mv, want_sad = ref.best_mv_scalar(
                 current, padded, search_range, 0, 0, rect, search_range,

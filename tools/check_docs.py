@@ -46,6 +46,8 @@ DOCSTRING_PACKAGES = (
     "src/repro/codec/entropy.py",
     "src/repro/codec/syntax.py",
     "src/repro/codec/batch.py",
+    "src/repro/core/partition.py",
+    "src/repro/core/pipeline.py",
     "src/repro/obs",
     "src/repro/runtime",
     "src/repro/service",

@@ -25,7 +25,6 @@ from repro.analysis.predictor import (
     probe_features,
 )
 from repro.codec.config import EncoderConfig
-from repro.codec.decoder import Decoder
 from repro.codec.encoder import Encoder
 from repro.codec.stats import inspect_video
 from repro.metrics.psnr import video_psnr
@@ -65,14 +64,14 @@ def main() -> None:
         stats = inspect_video(probe)
         pixels = clip.total_pixels
         for crf in CRF_GRID:
-            encoded = Encoder(
-                dataclasses.replace(EncoderConfig(), crf=crf)).encode(clip)
-            decoded = Decoder().decode(encoded)
+            (encoded,), (recon,) = Encoder(dataclasses.replace(
+                EncoderConfig(), crf=crf)).encode_batch_with_recon([clip])
             target_stats = inspect_video(encoded)
             rows.append(probe_features(stats, pixels, crf))
             log_bpp.append(float(np.log2(
                 target_stats.total_payload_bits / pixels)))
-            psnr.append(float(video_psnr(clip, decoded)))
+            psnr.append(float(video_psnr(
+                clip, VideoSequence.from_array(recon))))
     predictor = RateQualityPredictor.fit(rows, log_bpp, psnr)
 
     matrix = np.asarray(rows)
